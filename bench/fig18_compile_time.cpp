@@ -23,20 +23,11 @@
  * and std::thread::hardware_concurrency so the gate can skip the
  * speedup floor on machines with fewer cores than search threads
  * (a 1-core runner measures honest overhead, not parallelism).
- *
- * A fifth configuration measures incremental (delta) compilation on
- * the generative workloads: each graph is recompiled warm from its own
- * retained state — the serving scenario where a plan artifact was
- * evicted but the .warm sidecar survived, an exact structural-digest
- * hit. Reported as warm_neighbor_seconds/warm_neighbor_speedup per
- * workload plus a geomean summary; tests/incremental_diff_test.cpp
- * pins the warm results byte-identical, so the speedup is free.
  */
 
 #include <thread>
 
 #include "bench_util.hpp"
-#include "compiler/warm_state.hpp"
 #include "harness.hpp"
 
 namespace cmswitch {
@@ -82,30 +73,6 @@ compileSeconds(const bench::Harness &harness, const Compiler &compiler,
     return stats.trimmedMean;
 }
 
-/**
- * Warm-neighbor recompile time: each graph's state is retained once,
- * outside the timed region (the serving scenario pays retention at the
- * original compile, not at the recompile), then the timed region runs
- * compileWarm against that exact-match neighbor — full DP import.
- */
-double
-compileWarmSeconds(const bench::Harness &harness, const Compiler &compiler,
-                   const std::vector<Graph> &graphs)
-{
-    std::vector<std::shared_ptr<const CompilerWarmState>> neighbors;
-    for (const Graph &g : graphs) {
-        std::shared_ptr<CompilerWarmState> retained;
-        compiler.compileWarm(g, nullptr, &retained, nullptr);
-        neighbors.push_back(std::move(retained));
-    }
-    bench::TimingStats stats = harness.time([&] {
-        for (std::size_t i = 0; i < graphs.size(); ++i)
-            compiler.compileWarm(graphs[i], neighbors[i], nullptr,
-                                 nullptr);
-    });
-    return stats.trimmedMean;
-}
-
 } // namespace
 
 int
@@ -144,8 +111,8 @@ benchMain(int argc, char **argv)
     Table t("Fig. 18: compilation time (seconds, trimmed mean of "
             + std::to_string(opts.repeats) + " runs)");
     t.addRow({"model", "cim-mlc (s)", "cmswitch (s)", "ratio",
-              "reference (s)", "speedup", "mt-speedup", "warm-speedup"});
-    std::vector<double> ratios, speedups, mt_speedups, warm_speedups;
+              "reference (s)", "speedup", "mt-speedup"});
+    std::vector<double> ratios, speedups, mt_speedups;
     for (const ZooEntry &entry : fig14Benchmarks()) {
         std::vector<Graph> graphs = benchGraphs(entry, args.full);
         double mlc_s = compileSeconds(harness, *mlc, graphs);
@@ -156,24 +123,18 @@ benchMain(int argc, char **argv)
         ratios.push_back(ratio);
         speedups.push_back(speedup);
 
-        // The parallel-search and warm-neighbor dimensions are timed on
-        // the generative workloads only: they are the longest compiles
-        // (least noise), and timing them alone keeps the bench's
-        // runtime growth small.
+        // The parallel-search dimension is timed on the generative
+        // workloads only: they are the longest compiles (least noise),
+        // and timing them alone keeps the bench's runtime growth small.
         double mt_s = -1.0, mt_speedup = -1.0;
-        double warm_s = -1.0, warm_speedup = -1.0;
         if (entry.generative) {
             mt_s = compileSeconds(harness, *ours_mt, graphs);
             mt_speedup = ours_s / std::max(mt_s, 1e-9);
             mt_speedups.push_back(mt_speedup);
-            warm_s = compileWarmSeconds(harness, *ours, graphs);
-            warm_speedup = ours_s / std::max(warm_s, 1e-9);
-            warm_speedups.push_back(warm_speedup);
         }
         t.addRow(entry.name,
                  {mlc_s, ours_s, ratio, ref_s, speedup,
-                  entry.generative ? mt_speedup : 0.0,
-                  entry.generative ? warm_speedup : 0.0},
+                  entry.generative ? mt_speedup : 0.0},
                  3);
 
         bench::BenchRecord record;
@@ -185,9 +146,7 @@ benchMain(int argc, char **argv)
             .metric("speedup_vs_reference", speedup);
         if (entry.generative) {
             record.metric("cmswitch_parallel_seconds", mt_s)
-                .metric("search_threads_speedup", mt_speedup)
-                .metric("warm_neighbor_seconds", warm_s)
-                .metric("warm_neighbor_speedup", warm_speedup);
+                .metric("search_threads_speedup", mt_speedup);
         }
         report.add(std::move(record));
     }
@@ -197,9 +156,6 @@ benchMain(int argc, char **argv)
     if (!mt_speedups.empty())
         report.setSummary("geomean_search_threads_speedup",
                           bench::geomean(mt_speedups));
-    if (!warm_speedups.empty())
-        report.setSummary("geomean_warm_neighbor_speedup",
-                          bench::geomean(warm_speedups));
 
     t.print(std::cout);
     std::cout << "\nPaper anchors: CMSwitch compiles 2.8x-6.3x slower than "

@@ -358,9 +358,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
 }
 
 SegmentAllocation
-DualModeAllocator::allocate(const SegmentView &segment,
-                            const AllocWarmHints *hints,
-                            LpWarmStart *basis_out) const
+DualModeAllocator::allocate(const SegmentView &segment) const
 {
     obs::ScopedPhase phase(obs::Hist::kPhaseAllocate, "alloc.allocate",
                            "allocator");
@@ -396,29 +394,6 @@ DualModeAllocator::allocate(const SegmentView &segment,
     Cycles lo = 1, hi = ub;
     cmswitch_assert(tryTarget(segment, ub, nullptr, &warm),
                     "upper bound must be feasible");
-
-    // Neighbor bracket hint: probe the neighbor segment's optimum (and
-    // its left edge) before bisecting. A matching optimum answers the
-    // whole search in two probes; a nearby one still collapses the
-    // bracket. Feasibility is monotone in the target, so the loop below
-    // converges to the same minimal feasible target either way — hints
-    // change probe order, never the result. Reference mode stays cold.
-    if (hints != nullptr && hints->target >= 1 && !options_.referenceSearch) {
-        if (hints->basis != nullptr && hints->basis->rows > 0)
-            warm = *hints->basis;
-        Cycles guess = std::min(hints->target, ub);
-        if (tryTarget(segment, guess, nullptr, &warm)) {
-            hi = guess;
-            if (guess > lo) {
-                if (tryTarget(segment, guess - 1, nullptr, &warm))
-                    hi = guess - 1;
-                else
-                    lo = guess;
-            }
-        } else {
-            lo = guess + 1;
-        }
-    }
 
     // Speculative probe evaluation: the serial bisection visits a
     // target sequence fully determined by earlier probe outcomes. We
@@ -498,11 +473,6 @@ DualModeAllocator::allocate(const SegmentView &segment,
     }
     bool ok = tryTarget(segment, hi, &result, &warm);
     cmswitch_assert(ok, "bisection result must be feasible");
-    // The filling solve never updates the warm slot (cold pivot by
-    // design), so this is the last *probe* basis — the right seed for a
-    // neighbor compile's probes of a similar segment.
-    if (basis_out != nullptr)
-        *basis_out = warm;
     return result;
 }
 

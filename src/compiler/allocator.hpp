@@ -81,28 +81,6 @@ struct AllocatorOptions
     s64 searchThreads = 1;
 };
 
-/**
- * Warm-start hints for one allocate() call, carried over from a
- * neighbor compile's allocation of a structurally similar segment
- * (compiler/warm_state.hpp). Hints steer the search only: the latency
- * bisection still converges to the same minimal feasible target
- * (feasibility is monotone in the target), probe LP warm bases never
- * reach the filling solve, and referenceSearch mode ignores hints
- * entirely — so the emitted allocation is byte-identical with or
- * without them (pinned by the incremental diff/fuzz battery).
- */
-struct AllocWarmHints
-{
-    /** Neighbor segment's optimal intra latency; probed first so a
-     *  nearby optimum collapses the bisection bracket immediately.
-     *  <= 0 disables the bracket probe. */
-    Cycles target = 0;
-
-    /** Neighbor's final probe basis; seeds probe LP warm starts.
-     *  Optional, not owned. */
-    const LpWarmStart *basis = nullptr;
-};
-
 /** Result of allocating one segment. */
 struct SegmentAllocation
 {
@@ -129,20 +107,7 @@ class DualModeAllocator
 
     /** Solve one segment; infeasible segments return
      *  intraLatency == kInfCycles. */
-    SegmentAllocation allocate(const SegmentView &segment) const
-    {
-        return allocate(segment, nullptr, nullptr);
-    }
-
-    /**
-     * allocate() with optional warm-start @p hints (see AllocWarmHints;
-     * may be null) and, when @p basis_out is non-null, the final probe
-     * basis exported for a future neighbor compile. Results are
-     * byte-identical to the hint-free call.
-     */
-    SegmentAllocation allocate(const SegmentView &segment,
-                               const AllocWarmHints *hints,
-                               LpWarmStart *basis_out) const;
+    SegmentAllocation allocate(const SegmentView &segment) const;
 
     /**
      * Reference implementation: exhaustive search over duplication

@@ -17,31 +17,12 @@ CmSwitchCompiler::CmSwitchCompiler(ChipConfig chip, CmSwitchOptions options,
 CompileResult
 CmSwitchCompiler::compile(const Graph &graph) const
 {
-    return compileImpl(graph, nullptr, nullptr, nullptr, nullptr);
-}
-
-CompileResult
-CmSwitchCompiler::compileWarm(
-    const Graph &graph, std::shared_ptr<const CompilerWarmState> neighbor,
-    std::shared_ptr<CompilerWarmState> *retain_out,
-    WarmReuseStats *stats_out) const
-{
-    return compileImpl(graph, nullptr, neighbor, retain_out, stats_out);
+    return compileWithSchedule(graph, nullptr);
 }
 
 CompileResult
 CmSwitchCompiler::compileWithSchedule(const Graph &graph,
                                       ScheduleResult *schedule_out) const
-{
-    return compileImpl(graph, schedule_out, nullptr, nullptr, nullptr);
-}
-
-CompileResult
-CmSwitchCompiler::compileImpl(
-    const Graph &graph, ScheduleResult *schedule_out,
-    const std::shared_ptr<const CompilerWarmState> &neighbor,
-    std::shared_ptr<CompilerWarmState> *retain_out,
-    WarmReuseStats *stats_out) const
 {
     auto t0 = std::chrono::steady_clock::now();
 
@@ -55,18 +36,10 @@ CmSwitchCompiler::compileImpl(
                       "graph ", graph.name(), " has no CIM-supportable ops");
 
     Segmenter segmenter(cost_, options_.segmenter);
-    if (neighbor != nullptr)
-        segmenter.setWarmState(neighbor);
-    if (retain_out != nullptr)
-        segmenter.setRetain(true);
     ScheduleResult schedule = segmenter.run(ops);
     cmswitch_fatal_if(!schedule.feasible(),
                       "no feasible schedule for ", graph.name(), " on ",
                       deha_.config().name);
-    if (retain_out != nullptr)
-        *retain_out = segmenter.exportWarmState();
-    if (stats_out != nullptr)
-        *stats_out = segmenter.warmStats();
 
     CompileResult result;
     {

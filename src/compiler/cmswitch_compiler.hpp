@@ -46,19 +46,6 @@ class CmSwitchCompiler : public Compiler
     CompileResult compile(const Graph &graph) const override;
 
     /**
-     * Incremental compilation (see Compiler::compileWarm): routes the
-     * neighbor state into the segmenter's warm levers and exports this
-     * compile's own state. Byte-identical to compile() by the
-     * warm_state.hpp soundness contract; reference-search builds ignore
-     * the warm state and stay cold.
-     */
-    CompileResult
-    compileWarm(const Graph &graph,
-                std::shared_ptr<const CompilerWarmState> neighbor,
-                std::shared_ptr<CompilerWarmState> *retain_out,
-                WarmReuseStats *stats_out) const override;
-
-    /**
      * compile() that also returns the schedule-level view (per-segment
      * allocations) for reporting harnesses like the Fig. 15 bench.
      */
@@ -70,13 +57,6 @@ class CmSwitchCompiler : public Compiler
     const CmSwitchOptions &options() const { return options_; }
 
   private:
-    /** Shared pipeline behind compile()/compileWarm()/…WithSchedule(). */
-    CompileResult
-    compileImpl(const Graph &graph, ScheduleResult *schedule_out,
-                const std::shared_ptr<const CompilerWarmState> &neighbor,
-                std::shared_ptr<CompilerWarmState> *retain_out,
-                WarmReuseStats *stats_out) const;
-
     Deha deha_;
     CostModel cost_;
     CmSwitchOptions options_;

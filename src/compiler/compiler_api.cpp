@@ -1,24 +1,9 @@
 #include "compiler/compiler_api.hpp"
 
-#include "compiler/warm_state.hpp"
 #include "support/json.hpp"
 #include "support/serialize.hpp"
 
 namespace cmswitch {
-
-CompileResult
-Compiler::compileWarm(const Graph &graph,
-                      std::shared_ptr<const CompilerWarmState> neighbor,
-                      std::shared_ptr<CompilerWarmState> *retain_out,
-                      WarmReuseStats *stats_out) const
-{
-    (void)neighbor;
-    if (retain_out != nullptr)
-        retain_out->reset();
-    if (stats_out != nullptr)
-        *stats_out = WarmReuseStats{};
-    return compile(graph);
-}
 
 void
 LatencyBreakdown::writeJson(JsonWriter &w) const

@@ -20,8 +20,6 @@ namespace cmswitch {
 class BinaryReader;
 class BinaryWriter;
 class JsonWriter;
-struct CompilerWarmState;
-struct WarmReuseStats;
 
 /** Latency breakdown of a compiled network (compiler estimates). */
 struct LatencyBreakdown
@@ -89,22 +87,6 @@ class Compiler
 
     /** Compile @p graph for the chip this compiler was built with. */
     virtual CompileResult compile(const Graph &graph) const = 0;
-
-    /**
-     * Incremental (delta) compilation entry point. @p neighbor is the
-     * retained search state of a structurally similar earlier compile
-     * (may be null); @p retain_out, when non-null, receives this
-     * compile's own state for future neighbors; @p stats_out reports
-     * what was actually reused. The invariant every implementation must
-     * uphold (pinned by tests/incremental_diff_test.cpp): the result is
-     * byte-identical to compile(graph). The base implementation ignores
-     * the warm state and compiles cold.
-     */
-    virtual CompileResult
-    compileWarm(const Graph &graph,
-                std::shared_ptr<const CompilerWarmState> neighbor,
-                std::shared_ptr<CompilerWarmState> *retain_out,
-                WarmReuseStats *stats_out) const;
 };
 
 } // namespace cmswitch

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/strings.hpp"
 
@@ -91,43 +90,19 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
         return **found;
     }
 
-    // Warm positional path: the range lies inside the structurally
-    // matched prefix/suffix and the neighbor priced the same window, so
-    // its allocation is byte-identical — without building either
-    // range signature (the dominant cost of a cold search).
-    if (const SegmentAllocation *warm =
-            warmPositionalLookup(lo, hi, static_cast<s64>(ops.size()))) {
-        ++cacheHits_;
-        cacheRange(range_key, warm);
-        return *warm;
-    }
-
     std::string key = rangeSignature(ops, lo, hi);
 
     auto it = cache_.find(key);
     if (it != cache_.end()) {
         ++cacheHits_;
-        if (!importedPtrs_.empty() && importedPtrs_.count(&it->second) > 0)
-            ++warmStats_.importedSigHits;
     } else {
         ++cacheMisses_;
-        AllocWarmHints hints;
-        const AllocWarmHints *hints_ptr = nullptr;
-        if (warmHintFor(lo, hi, &hints)) {
-            hints_ptr = &hints;
-            ++warmStats_.bracketHints;
-        }
-        LpWarmStart basis;
         it = cache_
                  .emplace(std::move(key),
-                          allocator_.allocate(makeSegmentView(ops, lo, hi),
-                                              hints_ptr,
-                                              retain_ ? &basis : nullptr))
+                          allocator_.allocate(makeSegmentView(ops, lo, hi)))
                  .first;
-        if (retain_)
-            basisOf_.emplace(&it->second, std::move(basis));
     }
-    cacheRange(range_key, &it->second);
+    rangeCache_.insert(range_key, &it->second);
     return it->second;
 }
 
@@ -173,15 +148,6 @@ Segmenter::allocationForRange(const std::vector<ScheduledOp> &ops, s64 lo,
         // the range cache is positional, so rebuild the per-run
         // structures for this list instead of serving stale entries.
         rangeCache_.clear();
-        rangeLog_.clear(); // keys are packed with this list's size
-        // The warm alignment belongs to run()'s list only.
-        warmNeighborRanges_.clear();
-        matchShift_.clear();
-        runId_.clear();
-        matchAbsMax_.clear();
-        selfLag_.clear();
-        selfRunId_.clear();
-        selfAbsMax_.clear();
         opSig_.clear();
         opSig_.reserve(ops.size());
         for (const ScheduledOp &op : ops)
@@ -287,7 +253,6 @@ Segmenter::run(const std::vector<ScheduledOp> &ops)
                     "flattened network too large for range-key packing");
 
     rangeCache_.clear();
-    rangeLog_.clear();
     cachedOps_ = ops.data();
     lastConsumer_.assign(ops.size(), -1);
     maxEdgeBytes_.assign(ops.size(), 0);
@@ -307,177 +272,6 @@ Segmenter::run(const std::vector<ScheduledOp> &ops)
     opSig_.reserve(ops.size());
     for (const ScheduledOp &op : ops)
         opSig_.push_back(opSignature(op.work));
-
-    // Incremental compilation: align this op list against the neighbor
-    // state and seed every warm lever. Reference searches opt out
-    // wholesale — they exist to stay byte-for-byte the original.
-    warmStats_ = WarmReuseStats{};
-    dpPrefix_ = 0;
-    warmDelta_ = 0;
-    warmNeighborRanges_.clear();
-    matchShift_.clear();
-    runId_.clear();
-    matchAbsMax_.clear();
-    selfLag_.clear();
-    selfRunId_.clear();
-    selfAbsMax_.clear();
-    curMeta_.clear();
-    if ((warmIn_ != nullptr || retain_) && !options_.referenceSearch) {
-        const s64 n = static_cast<s64>(ops.size());
-        curMeta_.reserve(ops.size());
-        // Rewrite grouping as a graph-local dense id (first-appearance
-        // order): raw OpIds are allocator-global, so they never compare
-        // equal across independently built graphs.
-        std::unordered_map<s64, s64> group_of;
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            WarmOpMeta m;
-            m.sig = opSig_[i];
-            m.preds = ops[i].preds;
-            m.reuseBytes = ops[i].reuseBytes;
-            m.groupId = group_of
-                            .emplace(static_cast<s64>(ops[i].work.opId),
-                                     static_cast<s64>(group_of.size()))
-                            .first->second;
-            m.lastConsumer = lastConsumer_[i];
-            m.maxEdgeBytes = maxEdgeBytes_[i];
-            m.liveOutBytes = ops[i].liveOutBytes;
-            curMeta_.push_back(std::move(m));
-        }
-        if (warmIn_ != nullptr && !warmIn_->empty()) {
-            const CompilerWarmState &nb = *warmIn_;
-            warmDelta_ = n - nb.numOps();
-            // Block alignment: graph edits are local, so most positions
-            // match a neighbor op under some per-block index shift.
-            std::vector<WarmMatch> match = warmAlign(curMeta_, nb.ops);
-            matchShift_.assign(ops.size(), kNoShift);
-            runId_.assign(ops.size(), -1);
-            matchAbsMax_.assign(ops.size(), -1);
-            s64 run = -1;
-            bool in_run = false;
-            for (s64 i = 0; i < n; ++i) {
-                if (match[static_cast<std::size_t>(i)].index < 0) {
-                    in_run = false;
-                    continue;
-                }
-                s64 shift = i - match[static_cast<std::size_t>(i)].index;
-                if (!in_run
-                    || shift != matchShift_[static_cast<std::size_t>(i - 1)])
-                    ++run;
-                in_run = true;
-                matchShift_[static_cast<std::size_t>(i)] = shift;
-                runId_[static_cast<std::size_t>(i)] = run;
-                matchAbsMax_[static_cast<std::size_t>(i)] =
-                    match[static_cast<std::size_t>(i)].absMax;
-            }
-            // Self-alignment: lag ops onto the graph's own dominant
-            // structural period. Inside a changed window the neighbor
-            // has nothing to offer, but an earlier layer of *this*
-            // graph usually does — ranges at a constant lag have equal
-            // signatures by the same argument as the neighbor runs, and
-            // the lagged range is already in rangeCache_ by the time
-            // the DP reaches the window (boundaries ascend). Period
-            // detection must be global: local nearest-match lags latch
-            // onto short sub-op periodicity and fragment the runs.
-            selfLag_.assign(ops.size(), kNoShift);
-            selfRunId_.assign(ops.size(), -1);
-            selfAbsMax_.assign(ops.size(), -1);
-            {
-                std::vector<u64> h(ops.size());
-                std::unordered_map<u64, std::vector<s64>> at;
-                at.reserve(ops.size());
-                for (s64 i = 0; i < n; ++i) {
-                    h[static_cast<std::size_t>(i)] =
-                        fnv1a64(curMeta_[static_cast<std::size_t>(i)].sig);
-                    at[h[static_cast<std::size_t>(i)]].push_back(i);
-                }
-                // Rare signatures (a handful of occurrences: the once-
-                // per-layer ops) vote for their consecutive-occurrence
-                // distances; frequent ones (sliced sub-ops) would vote
-                // for their intra-block stride instead.
-                std::unordered_map<s64, s64> votes;
-                for (const auto &[hash, occ] : at) {
-                    if (occ.size() < 2 || occ.size() > 64)
-                        continue;
-                    for (std::size_t t = 1; t < occ.size(); ++t)
-                        ++votes[occ[t] - occ[t - 1]];
-                }
-                std::vector<std::pair<s64, s64>> top; // (votes, lag)
-                top.reserve(votes.size());
-                for (const auto &[lag, count] : votes)
-                    top.emplace_back(count, lag);
-                std::sort(top.begin(), top.end(),
-                          [](const auto &x, const auto &y) {
-                              return x.first != y.first
-                                         ? x.first > y.first
-                                         : x.second < y.second;
-                          });
-                if (top.size() > 4)
-                    top.resize(4);
-                // Full verification picks the candidate that actually
-                // matches the most positions (ties: smallest lag, which
-                // is the fundamental period rather than a multiple).
-                s64 best_lag = 0;
-                s64 best_matched = 0;
-                s64 abs_scratch = -1;
-                for (const auto &[count, lag] : top) {
-                    if (lag <= 0)
-                        continue;
-                    s64 matched = 0;
-                    for (s64 i = lag; i < n; ++i) {
-                        const auto ui = static_cast<std::size_t>(i);
-                        const auto uj = static_cast<std::size_t>(i - lag);
-                        if (h[ui] == h[uj]
-                            && curMeta_[ui].relaxedEqShifted(
-                                curMeta_[uj], lag, &abs_scratch))
-                            ++matched;
-                    }
-                    if (matched > best_matched) {
-                        best_matched = matched;
-                        best_lag = lag;
-                    }
-                }
-                if (best_lag > 0) {
-                    s64 self_run = -1;
-                    bool in_self_run = false;
-                    for (s64 i = best_lag; i < n; ++i) {
-                        const auto ui = static_cast<std::size_t>(i);
-                        const auto uj = static_cast<std::size_t>(
-                            i - best_lag);
-                        if (h[ui] == h[uj]
-                            && curMeta_[ui].relaxedEqShifted(
-                                curMeta_[uj], best_lag, &abs_scratch)) {
-                            if (!in_self_run)
-                                ++self_run;
-                            in_self_run = true;
-                            selfLag_[ui] = best_lag;
-                            selfRunId_[ui] = self_run;
-                            selfAbsMax_[ui] = abs_scratch;
-                        } else {
-                            in_self_run = false;
-                        }
-                    }
-                }
-            }
-            if (options_.useDp
-                && nb.dpRows.size()
-                       == static_cast<std::size_t>(nb.numOps()) + 1)
-                dpPrefix_ = warmDpSafePrefix(curMeta_, nb.ops);
-            for (std::size_t a = 0; a < nb.sigs.size(); ++a) {
-                auto [slot, inserted] = cache_.emplace(nb.sigs[a],
-                                                       nb.allocs[a]);
-                if (inserted) {
-                    ++warmStats_.sigImports;
-                    importedPtrs_.insert(&slot->second);
-                    if (nb.bases[a].rows > 0)
-                        basisOf_.emplace(&slot->second, nb.bases[a]);
-                }
-            }
-            warmNeighborRanges_.reserve(nb.ranges.size());
-            for (const WarmRangeBinding &b : nb.ranges)
-                warmNeighborRanges_.emplace(
-                    b.lo * (nb.numOps() + 1) + b.hi, b.allocIndex);
-        }
-    }
 
     obs::ScopedPhase phase(obs::Hist::kPhaseSegment, "segmenter.run",
                            "segmenter");
@@ -605,24 +399,6 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
     };
     std::vector<std::vector<FastState>> dp(static_cast<std::size_t>(n) + 1);
 
-    // Warm import: every DP row up to the fullEq-safe prefix is, by the
-    // warm_state.hpp soundness argument, exactly what this search would
-    // recompute — take the neighbor's rows verbatim and start the
-    // boundary loop after them.
-    s64 first_boundary = 1;
-    if (dpPrefix_ > 0 && warmIn_ != nullptr) {
-        for (s64 b = 1; b <= dpPrefix_; ++b) {
-            const auto &row = warmIn_->dpRows[static_cast<std::size_t>(b)];
-            auto &dst = dp[static_cast<std::size_t>(b)];
-            dst.reserve(row.size());
-            for (const WarmDpState &st : row)
-                dst.push_back(FastState{st.start, st.cost, st.prevStart,
-                                        st.memArrays, st.outBytes});
-        }
-        warmStats_.dpRowsReused = dpPrefix_;
-        first_boundary = dpPrefix_ + 1;
-    }
-
     // Per-candidate evaluation of segment [k, i): the one body both
     // the serial loop and the sharded path run, so their costs agree
     // by construction. Reads only immutable per-run structures and
@@ -739,15 +515,12 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
         std::string sig;
         s64 k = 0;
         SegmentAllocation result;
-        AllocWarmHints hints; ///< basis points into warmIn_ (immutable)
-        bool hasHint = false;
-        LpWarmStart basis; ///< final probe basis (retention only)
     };
     std::vector<Candidate> cands;
     std::vector<Miss> misses;
     std::vector<const SegmentAllocation *> miss_ptr;
 
-    for (s64 i = first_boundary; i <= n; ++i) {
+    for (s64 i = 1; i <= n; ++i) {
         obs::count(obs::Met::kDpBoundaries);
         if (pool == nullptr) {
             for (s64 k = min_start[static_cast<std::size_t>(i)]; k < i;
@@ -788,22 +561,11 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                         Candidate{k, *found, -1, kInfCycles, -1});
                     continue;
                 }
-                if (const SegmentAllocation *warm =
-                        warmPositionalLookup(k, i, n)) {
-                    ++cacheHits_;
-                    cacheRange(range_key, warm);
-                    cands.push_back(
-                        Candidate{k, warm, -1, kInfCycles, -1});
-                    continue;
-                }
                 std::string sig = rangeSignature(ops, k, i);
                 auto it = cache_.find(sig);
                 if (it != cache_.end()) {
                     ++cacheHits_;
-                    if (!importedPtrs_.empty()
-                        && importedPtrs_.count(&it->second) > 0)
-                        ++warmStats_.importedSigHits;
-                    cacheRange(range_key, &it->second);
+                    rangeCache_.insert(range_key, &it->second);
                     cands.push_back(
                         Candidate{k, &it->second, -1, kInfCycles, -1});
                     continue;
@@ -818,14 +580,7 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                 if (miss_slot < 0) {
                     ++cacheMisses_;
                     miss_slot = static_cast<s64>(misses.size());
-                    Miss miss;
-                    miss.sig = std::move(sig);
-                    miss.k = k;
-                    if (warmHintFor(k, i, &miss.hints)) {
-                        miss.hasHint = true;
-                        ++warmStats_.bracketHints;
-                    }
-                    misses.push_back(std::move(miss));
+                    misses.push_back(Miss{std::move(sig), k, {}});
                 } else {
                     ++cacheHits_;
                 }
@@ -849,9 +604,7 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                     missSpan.arg("start", miss.k);
                     missSpan.arg("end", i);
                     miss.result = allocator_.allocate(
-                        makeSegmentView(ops, miss.k, i),
-                        miss.hasHint ? &miss.hints : nullptr,
-                        retain_ ? &miss.basis : nullptr);
+                        makeSegmentView(ops, miss.k, i));
                 });
         }
 
@@ -863,13 +616,11 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                                    std::move(misses[m].result))
                           .first;
             miss_ptr[m] = &it->second;
-            if (retain_)
-                basisOf_.emplace(&it->second, std::move(misses[m].basis));
         }
         for (Candidate &cand : cands) {
             if (cand.miss >= 0) {
                 cand.alloc = miss_ptr[static_cast<std::size_t>(cand.miss)];
-                cacheRange(cand.k * (n + 1) + i, cand.alloc);
+                rangeCache_.insert(cand.k * (n + 1) + i, cand.alloc);
             }
         }
         cands.erase(std::remove_if(cands.begin(), cands.end(),
@@ -901,21 +652,6 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                               cand.alloc->plan.memoryArrays,
                               liveOutBytes(ops, cand.k, i, i)});
             }
-        }
-    }
-
-    // Retention: the full DP table, whether each row was computed here
-    // or imported (imported rows are byte-equal to a cold compute, so a
-    // chained warm compile retains the same state a cold one would).
-    if (retain_) {
-        lastDpRows_.clear();
-        lastDpRows_.resize(dp.size());
-        for (std::size_t b = 0; b < dp.size(); ++b) {
-            lastDpRows_[b].reserve(dp[b].size());
-            for (const FastState &st : dp[b])
-                lastDpRows_[b].push_back(
-                    WarmDpState{st.start, st.cost, st.prevStart,
-                                st.memArrays, st.outBytes});
         }
     }
 
@@ -1074,159 +810,6 @@ Segmenter::finalize(const std::vector<ScheduledOp> &ops,
             liveOutBytes(ops, lo, hi, static_cast<s64>(ops.size())));
     }
     return result;
-}
-
-const SegmentAllocation *
-Segmenter::warmPositionalLookup(s64 lo, s64 hi, s64 n)
-{
-    // Neighbor serve: [lo, hi) lies inside one constant-shift matched
-    // run, so every op (and every in-range edge, whose endpoints shift
-    // together or sit below both windows) equals its neighbor
-    // counterpart and the two range signatures are equal by
-    // construction — without building either.
-    if (!warmNeighborRanges_.empty()) {
-        const s64 rid = runId_[static_cast<std::size_t>(lo)];
-        if (rid >= 0 && rid == runId_[static_cast<std::size_t>(hi - 1)]) {
-            const s64 shift = matchShift_[static_cast<std::size_t>(lo)];
-            // Absolute-matched edges must stay outside both ranges.
-            const s64 bound = lo - std::max<s64>(0, shift);
-            bool ok = true;
-            for (s64 x = lo; x < hi; ++x) {
-                if (matchAbsMax_[static_cast<std::size_t>(x)] >= bound) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok) {
-                const s64 n_nb = warmIn_->numOps();
-                auto it = warmNeighborRanges_.find(
-                    (lo - shift) * (n_nb + 1) + (hi - shift));
-                if (it != warmNeighborRanges_.end()) {
-                    ++warmStats_.rangeImports;
-                    return &warmIn_->allocs[static_cast<std::size_t>(
-                        it->second)];
-                }
-            }
-        }
-    }
-    // Self serve, same argument at a lag within this run's own op list:
-    // the lagged range was priced at an earlier DP boundary (boundaries
-    // ascend, and lookups at boundary i only lag to boundary i - lag).
-    if (!selfRunId_.empty()) {
-        const s64 srid = selfRunId_[static_cast<std::size_t>(lo)];
-        if (srid >= 0
-            && srid == selfRunId_[static_cast<std::size_t>(hi - 1)]) {
-            const s64 lag = selfLag_[static_cast<std::size_t>(lo)];
-            const s64 bound = lo - lag;
-            bool ok = bound >= 0;
-            for (s64 x = lo; ok && x < hi; ++x) {
-                if (selfAbsMax_[static_cast<std::size_t>(x)] >= bound)
-                    ok = false;
-            }
-            if (ok) {
-                if (const SegmentAllocation **found = rangeCache_.find(
-                        (lo - lag) * (n + 1) + (hi - lag))) {
-                    ++warmStats_.rangeImports;
-                    return *found;
-                }
-            }
-        }
-    }
-    return nullptr;
-}
-
-bool
-Segmenter::warmHintFor(s64 lo, s64 hi, AllocWarmHints *hints) const
-{
-    if (warmIn_ == nullptr || warmNeighborRanges_.empty())
-        return false;
-    // A genuine miss is a range the neighbor never priced as-is (it
-    // crosses a changed window, say) — but whichever window the
-    // neighbor *did* price at the same position is usually near the
-    // optimum, and hints only steer the probe order.
-    const s64 n_nb = warmIn_->numOps();
-    s64 deltas[4];
-    int tries = 0;
-    if (runId_[static_cast<std::size_t>(lo)] >= 0)
-        deltas[tries++] = matchShift_[static_cast<std::size_t>(lo)];
-    if (runId_[static_cast<std::size_t>(hi - 1)] >= 0)
-        deltas[tries++] = matchShift_[static_cast<std::size_t>(hi - 1)];
-    deltas[tries++] = 0;
-    deltas[tries++] = warmDelta_;
-    for (int d = 0; d < tries; ++d) {
-        if (d > 0
-            && std::find(deltas, deltas + d, deltas[d]) != deltas + d)
-            continue;
-        s64 nb_lo = lo - deltas[d];
-        s64 nb_hi = hi - deltas[d];
-        if (nb_lo < 0 || nb_hi > n_nb || nb_hi <= nb_lo)
-            continue;
-        auto it = warmNeighborRanges_.find(nb_lo * (n_nb + 1) + nb_hi);
-        if (it == warmNeighborRanges_.end())
-            continue;
-        const auto a = static_cast<std::size_t>(it->second);
-        if (!warmIn_->allocs[a].feasible())
-            continue;
-        hints->target = warmIn_->allocs[a].intraLatency;
-        hints->basis = warmIn_->bases[a].rows > 0 ? &warmIn_->bases[a]
-                                                  : nullptr;
-        return true;
-    }
-    return false;
-}
-
-void
-Segmenter::cacheRange(s64 key, const SegmentAllocation *alloc)
-{
-    rangeCache_.insert(key, alloc);
-    if (retain_)
-        rangeLog_.emplace_back(key, alloc);
-}
-
-std::shared_ptr<CompilerWarmState>
-Segmenter::exportWarmState() const
-{
-    auto state = std::make_shared<CompilerWarmState>();
-    if (curMeta_.empty())
-        return state;
-    state->ops = curMeta_;
-    state->dpRows = lastDpRows_;
-
-    // Allocation pool: every signature this run priced or imported.
-    std::unordered_map<const SegmentAllocation *, s64> index;
-    index.reserve(cache_.size());
-    for (const auto &entry : cache_) {
-        index.emplace(&entry.second, static_cast<s64>(state->sigs.size()));
-        state->sigs.push_back(entry.first);
-        state->allocs.push_back(entry.second);
-        auto bit = basisOf_.find(&entry.second);
-        state->bases.push_back(bit != basisOf_.end() ? bit->second
-                                                     : LpWarmStart{});
-    }
-
-    // Positional bindings. Ranges served straight from the neighbor
-    // pool alias a cache_ entry with the same signature (the sig-import
-    // pass seeded all of them), so rebind through it.
-    const s64 n1 = static_cast<s64>(curMeta_.size()) + 1;
-    state->ranges.reserve(rangeLog_.size());
-    for (const auto &[key, alloc] : rangeLog_) {
-        auto it = index.find(alloc);
-        if (it == index.end() && warmIn_ != nullptr
-            && !warmIn_->allocs.empty()
-            && alloc >= warmIn_->allocs.data()
-            && alloc < warmIn_->allocs.data() + warmIn_->allocs.size()) {
-            const auto a = static_cast<std::size_t>(
-                alloc - warmIn_->allocs.data());
-            auto cit = cache_.find(warmIn_->sigs[a]);
-            if (cit != cache_.end())
-                it = index.find(&cit->second);
-        }
-        if (it == index.end())
-            continue;
-        state->ranges.push_back(
-            WarmRangeBinding{key / n1, key % n1, it->second});
-    }
-    return state;
 }
 
 } // namespace cmswitch

@@ -32,17 +32,13 @@
 #ifndef CMSWITCH_COMPILER_SEGMENTER_HPP
 #define CMSWITCH_COMPILER_SEGMENTER_HPP
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "compiler/allocator.hpp"
 #include "compiler/compiler_api.hpp"
-#include "compiler/warm_state.hpp"
 #include "support/flat_map.hpp"
 #include "support/task_pool.hpp"
 
@@ -133,32 +129,6 @@ class Segmenter
     s64 cacheMisses() const { return cacheMisses_; }
 
     /**
-     * @{ Incremental (delta) compilation hooks (compiler/warm_state.hpp).
-     *
-     * setWarmState() hands run() a neighbor compile's retained search
-     * state: structurally equal prefix/suffix ranges import the
-     * neighbor's allocations positionally (no signature build), its
-     * signature pool seeds the cross-run cache, fully-equal DP prefix
-     * boundaries import verbatim, and near-miss ranges seed the
-     * allocator's bisection bracket and probe LP basis. Every import is
-     * byte-identity preserving (see warm_state.hpp); referenceSearch
-     * runs ignore warm state entirely.
-     *
-     * setRetain(true) makes run() record its own search state so
-     * exportWarmState() — valid until the next run()/setWarmState() —
-     * can hand it to the *next* neighbor. warmStats() reports what the
-     * last run() actually reused.
-     */
-    void setWarmState(std::shared_ptr<const CompilerWarmState> warm)
-    {
-        warmIn_ = std::move(warm);
-    }
-    void setRetain(bool retain) { retain_ = retain; }
-    std::shared_ptr<CompilerWarmState> exportWarmState() const;
-    const WarmReuseStats &warmStats() const { return warmStats_; }
-    /** @} */
-
-    /**
      * The cached allocation for segment [lo, hi), computing (and
      * memoising) it on first touch — the same lookup every search path
      * performs. Public so the property tests can pin cache-hit results
@@ -242,60 +212,6 @@ class Segmenter
     /** Identity of the ops list the positional caches were built for
      *  (allocationForRange rebuilds on mismatch). */
     const ScheduledOp *cachedOps_ = nullptr;
-    /** @} */
-
-    /** @{ Incremental-compilation state (see the public hooks above). */
-    /** Neighbor allocation for range [lo, hi) when it lies inside one
-     *  constant-shift matched run of the alignment, else nullptr.
-     *  Counts warmStats_.rangeImports on success. */
-    const SegmentAllocation *warmPositionalLookup(s64 lo, s64 hi, s64 n);
-
-    /** Bracket/basis hints for a cache-missing range, from whichever
-     *  positional window the neighbor priced (identity or shifted). */
-    bool warmHintFor(s64 lo, s64 hi, AllocWarmHints *hints) const;
-
-    /** rangeCache_.insert plus the retention log (export needs the
-     *  positional bindings; FlatRangeMap is not iterable). */
-    void cacheRange(s64 key, const SegmentAllocation *alloc);
-
-    std::shared_ptr<const CompilerWarmState> warmIn_;
-    bool retain_ = false;
-    WarmReuseStats warmStats_;
-    s64 dpPrefix_ = 0;  ///< fullEq prefix: DP-row import bound
-    s64 warmDelta_ = 0; ///< numOps(cur) - numOps(neighbor)
-    std::vector<WarmOpMeta> curMeta_; ///< this run's op metadata
-    /** @{ warmAlign() runs: per current op, the index shift to its
-     *  matched neighbor op (kNoShift if unmatched) and the id of its
-     *  maximal consecutive constant-shift run (-1 if unmatched). */
-    static constexpr s64 kNoShift = std::numeric_limits<s64>::min();
-    std::vector<s64> matchShift_;
-    std::vector<s64> runId_;
-    /** Largest absolute-matched predecessor per aligned position (the
-     *  relaxedEqShifted bound; -1 when every edge shifts). */
-    std::vector<s64> matchAbsMax_;
-    /** @} */
-    /** @{ Self-alignment (warm compiles only): per current op, the lag
-     *  onto the graph's own dominant structural period (kNoShift if it
-     *  does not repeat), the id of its maximal consecutive constant-lag
-     *  run, and the relaxedEqShifted absolute bound. A changed window
-     *  usually repeats an earlier layer's structure (generative models
-     *  are periodic in depth), so its ranges can be served from
-     *  rangeCache_ at the lag — again without building either
-     *  signature. */
-    std::vector<s64> selfLag_;
-    std::vector<s64> selfRunId_;
-    std::vector<s64> selfAbsMax_;
-    /** @} */
-    /** Neighbor range key (nb coordinates) -> neighbor pool index. */
-    std::unordered_map<s64, s64> warmNeighborRanges_;
-    /** cache_ entries seeded from the neighbor (importedSigHits). */
-    std::unordered_set<const SegmentAllocation *> importedPtrs_;
-    /** Final probe basis per cache_ entry (retention + carry-forward). */
-    std::unordered_map<const SegmentAllocation *, LpWarmStart> basisOf_;
-    /** (range key, allocation) pairs priced this run, in touch order. */
-    std::vector<std::pair<s64, const SegmentAllocation *>> rangeLog_;
-    /** Retained DP rows of the last runDp() (setRetain only). */
-    std::vector<std::vector<WarmDpState>> lastDpRows_;
     /** @} */
 };
 

@@ -314,8 +314,6 @@ metName(Met m)
         return "incremental.neighbor_misses";
     case Met::kIncrementalNeighborPartials:
         return "incremental.neighbor_partials";
-    case Met::kIncrementalSigImports:
-        return "incremental.sig_imports";
     case Met::kLpSolves: return "lp.solves";
     case Met::kLpWarmHits: return "lp.warm_hits";
     case Met::kLpWarmMisses: return "lp.warm_misses";
@@ -328,7 +326,6 @@ metName(Met m)
     case Met::kServeCacheCold: return "serve.cache_cold";
     case Met::kServeCacheDisk: return "serve.cache_disk";
     case Met::kServeCacheMemory: return "serve.cache_memory";
-    case Met::kServeCacheNeighbor: return "serve.cache_neighbor";
     case Met::kServeCoalesced: return "serve.coalesced";
     case Met::kServeErrors: return "serve.errors";
     case Met::kServeReceived: return "serve.received";

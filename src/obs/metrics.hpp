@@ -171,11 +171,11 @@ enum class Met : u32 {
     kDpBoundaries,
     kDpSigCacheHits,
     kDpSigCacheMisses,
+    // Never incremented (read 0); kept so perfbench/layers.cpp still builds.
     kIncrementalDpRowsReused,
     kIncrementalNeighborHits,
     kIncrementalNeighborMisses,
     kIncrementalNeighborPartials,
-    kIncrementalSigImports,
     kLpSolves,
     kLpWarmHits,
     kLpWarmMisses,
@@ -188,7 +188,6 @@ enum class Met : u32 {
     kServeCacheCold,
     kServeCacheDisk,
     kServeCacheMemory,
-    kServeCacheNeighbor,
     kServeCoalesced,
     kServeErrors,
     kServeReceived,

@@ -280,11 +280,10 @@ verifyPlanCache(const CacheVerifyOptions &options)
 void
 CacheStatsReport::writeJson(JsonWriter &w) const
 {
-    // Distinct from the *sidecar's* envelope tag (cmswitch-cache-stats-v3,
+    // Distinct from the *sidecar's* envelope tag (cmswitch-cache-stats-v2,
     // a binary format): this is the JSON report, versioned independently.
-    // v2 adds the incremental-compilation neighbor totals.
     w.beginObject()
-        .field("schema", "cmswitch-cache-stats-report-v2")
+        .field("schema", "cmswitch-cache-stats-report-v3")
         .field("dir", directory)
         .field("sidecar_present", sidecarPresent)
         .field("hits", totals.hits)
@@ -292,9 +291,6 @@ CacheStatsReport::writeJson(JsonWriter &w) const
         .field("stores", totals.stores)
         .field("rejected", totals.rejected)
         .field("touch_failed", totals.touchFailed)
-        .field("neighbor_hits", totals.neighborHits)
-        .field("neighbor_partials", totals.neighborPartials)
-        .field("neighbor_misses", totals.neighborMisses)
         .field("plan_files", planFiles)
         .field("plan_bytes", planBytes)
         .field("walk_error", walkError)

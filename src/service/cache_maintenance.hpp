@@ -136,7 +136,7 @@ struct CacheStatsReport
     std::string walkError;   ///< non-empty when the scan ended early
     std::string fingerprint; ///< current buildFingerprintHex()
 
-    /** Full cmswitch-cache-stats-report-v2 JSON document. */
+    /** Full cmswitch-cache-stats-report-v3 JSON document. */
     void writeJson(JsonWriter &w) const;
 };
 

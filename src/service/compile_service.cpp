@@ -7,7 +7,6 @@
 #include "graph/passes.hpp"
 #include "graph/serialize.hpp"
 #include "obs/obs.hpp"
-#include "service/incremental/incremental_compile.hpp"
 #include "service/plan_fingerprint.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
@@ -44,13 +43,6 @@ compileArtifact(const CompileRequest &request)
 ArtifactPtr
 compileArtifact(const CompileRequest &request, std::string key)
 {
-    return compileArtifact(request, std::move(key), nullptr);
-}
-
-ArtifactPtr
-compileArtifact(const CompileRequest &request, std::string key,
-                WarmCompileContext *warm)
-{
     obs::Span span("compile_artifact", "service");
     obs::count(obs::Met::kCompiles);
     auto artifact = std::make_shared<CompileArtifact>();
@@ -76,12 +68,7 @@ compileArtifact(const CompileRequest &request, std::string key,
     {
         obs::ScopedPhase backend(obs::Hist::kPhaseBackend,
                                  "backend.compile", "service");
-        if (warm) {
-            artifact->result = compiler->compileWarm(
-                *graph, warm->neighbor, &warm->retained, &warm->stats);
-        } else {
-            artifact->result = compiler->compile(*graph);
-        }
+        artifact->result = compiler->compile(*graph);
     }
 
     Deha deha(request.chip);
@@ -121,10 +108,8 @@ CompileService::CompileService(CompileServiceOptions options)
     : options_(validatedServiceOptions(std::move(options))),
       cache_(options_.cacheCapacity)
 {
-    if (!options_.cacheDir.empty()) {
+    if (!options_.cacheDir.empty())
         disk_ = std::make_unique<DiskPlanCache>(options_.cacheDir);
-        warmStore_ = std::make_unique<WarmStateStore>(options_.cacheDir);
-    }
     workers_.reserve(static_cast<std::size_t>(options_.threads));
     for (s64 i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -164,7 +149,6 @@ cacheOutcomeName(CacheOutcome outcome)
     switch (outcome) {
     case CacheOutcome::kMemory: return "memory";
     case CacheOutcome::kDisk: return "disk";
-    case CacheOutcome::kNeighbor: return "neighbor";
     case CacheOutcome::kCold: return "cold";
     }
     cmswitch_panic("cacheOutcomeName: bad outcome ",
@@ -181,40 +165,14 @@ CompileService::lookup(const CompileRequest &request, const std::string &key,
     // in-flight compute leaves entered == false and classifies as a
     // memory hit, matching PlanCache's own hit accounting.
     bool entered = false;
-    CacheOutcome produced = CacheOutcome::kCold;
-    ArtifactPtr artifact = cache_.getOrCompute(key, [&]() -> ArtifactPtr {
+    CacheOutcome produced = CacheOutcome::kDisk;
+    ArtifactPtr artifact = cache_.getOrCompute(key, [&] {
         entered = true;
-        auto compile = [&]() -> ArtifactPtr {
-            // Neighbor step of the lookup chain: warm-start from the
-            // structurally closest retained search state. Byte-identical
-            // to the cold path, so memory/disk entries computed either
-            // way are interchangeable.
-            if (warmStore_) {
-                NeighborOutcome neighbor = NeighborOutcome::kMiss;
-                ArtifactPtr out = compileArtifactIncremental(
-                    request, key, *warmStore_, disk_.get(), &neighbor);
-                // Only a neighbor whose state did real work counts; a
-                // partial (found but nothing reusable) ran the full
-                // search and is a cold compile for reporting purposes.
-                produced = neighbor == NeighborOutcome::kHit
-                               ? CacheOutcome::kNeighbor
-                               : CacheOutcome::kCold;
-                return out;
-            }
+        auto compile = [&] {
             produced = CacheOutcome::kCold;
             return compileArtifact(request, key);
         };
-        if (disk_) {
-            bool compiled = false;
-            ArtifactPtr out = disk_->loadOrCompute(key, [&] {
-                compiled = true;
-                return compile();
-            });
-            if (!compiled)
-                produced = CacheOutcome::kDisk;
-            return out;
-        }
-        return compile();
+        return disk_ ? disk_->loadOrCompute(key, compile) : compile();
     });
     if (outcome)
         *outcome = entered ? produced : CacheOutcome::kMemory;

@@ -31,7 +31,6 @@
 
 #include "arch/chip_config.hpp"
 #include "compiler/compiler_api.hpp"
-#include "compiler/warm_state.hpp"
 #include "graph/passes.hpp"
 #include "metaop/validator.hpp"
 #include "service/disk_plan_cache.hpp"
@@ -39,8 +38,6 @@
 #include "sim/energy.hpp"
 
 namespace cmswitch {
-
-class WarmStateStore;
 
 /** One compilation job: resolved chip + graph + compiler + options. */
 struct CompileRequest
@@ -85,47 +82,27 @@ struct CompileArtifact
 };
 
 /**
- * Incremental-compilation context for compileArtifact(): the neighbor
- * state to warm-start from (may be null), and, on return, this
- * compile's own retained state plus what was actually reused. Passing
- * a context never changes the compiled plan (warm_state.hpp soundness
- * contract); it only changes how fast the search reaches it.
- */
-struct WarmCompileContext
-{
-    std::shared_ptr<const CompilerWarmState> neighbor; ///< in
-    std::shared_ptr<CompilerWarmState> retained;       ///< out
-    WarmReuseStats stats;                              ///< out
-};
-
-/**
  * Compile @p request in the calling thread, bypassing any cache:
  * resolve the compiler, run it, validate the program against the chip
  * and price its energy. This is the one compile path — service workers
  * and `cmswitchc` single-shot mode both funnel through it.
  * The two-argument form takes a precomputed requestKey() so hot paths
- * hash the request once; the three-argument form additionally threads
- * an incremental-compilation context through the compiler
- * (service/incremental/incremental_compile.hpp drives it).
+ * hash the request once.
  */
 ArtifactPtr compileArtifact(const CompileRequest &request);
 ArtifactPtr compileArtifact(const CompileRequest &request, std::string key);
-ArtifactPtr compileArtifact(const CompileRequest &request, std::string key,
-                            WarmCompileContext *warm);
 
 /**
  * Which step of the service lookup chain produced an artifact:
  *   memory   — in-memory PlanCache hit, or a single-flight join of an
  *              in-flight compile of the same key;
  *   disk     — loaded from the persistent plan cache;
- *   neighbor — compiled, but warm-started from a structural neighbor
- *              whose state did real work (NeighborOutcome::kHit);
- *   cold     — compiled from scratch (includes neighbor partial/miss).
+ *   cold     — compiled from scratch.
  * The serve daemon stamps this into every response.
  */
-enum class CacheOutcome { kMemory, kDisk, kNeighbor, kCold };
+enum class CacheOutcome { kMemory, kDisk, kCold };
 
-/** Stable lowercase name ("memory", "disk", "neighbor", "cold"). */
+/** Stable lowercase name ("memory", "disk", "cold"). */
 const char *cacheOutcomeName(CacheOutcome outcome);
 
 /**
@@ -199,15 +176,10 @@ class CompileService
     /** The disk layer, or nullptr when options().cacheDir is empty. */
     DiskPlanCache *diskCache() const { return disk_.get(); }
 
-    /** The warm-state store behind incremental compilation, or nullptr
-     *  when options().cacheDir is empty (warm state rides along with
-     *  the persistent plan cache). */
-    WarmStateStore *warmStore() const { return warmStore_.get(); }
-
   private:
     void workerLoop();
 
-    /** Single-flighted memory -> disk -> neighbor -> cold lookup;
+    /** Single-flighted memory -> disk -> cold lookup;
      *  @p outcome (may be null) reports which step served it. */
     ArtifactPtr lookup(const CompileRequest &request,
                        const std::string &key,
@@ -216,7 +188,6 @@ class CompileService
     CompileServiceOptions options_;
     PlanCache cache_;
     std::unique_ptr<DiskPlanCache> disk_;
-    std::unique_ptr<WarmStateStore> warmStore_;
 
     mutable std::mutex mutex_;
     std::condition_variable wake_;

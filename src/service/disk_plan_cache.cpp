@@ -21,10 +21,7 @@ DiskPlanCacheStats::writeJsonFields(JsonWriter &w) const
         .field("disk_misses", misses)
         .field("disk_stores", stores)
         .field("disk_rejected", rejected)
-        .field("disk_touch_failed", touchFailed)
-        .field("disk_neighbor_hits", neighborHits)
-        .field("disk_neighbor_partials", neighborPartials)
-        .field("disk_neighbor_misses", neighborMisses);
+        .field("disk_touch_failed", touchFailed);
 }
 
 DiskPlanCache::DiskPlanCache(std::string directory)
@@ -50,10 +47,7 @@ DiskPlanCache::~DiskPlanCache()
              || stats_.misses != flushed_.misses
              || stats_.stores != flushed_.stores
              || stats_.rejected != flushed_.rejected
-             || stats_.touchFailed != flushed_.touchFailed
-             || stats_.neighborHits != flushed_.neighborHits
-             || stats_.neighborPartials != flushed_.neighborPartials
-             || stats_.neighborMisses != flushed_.neighborMisses;
+             || stats_.touchFailed != flushed_.touchFailed;
     }
     // Nothing new since the last flush (e.g. batch mode flushed for its
     // summary moments ago): skip the sidecar I/O entirely.
@@ -133,17 +127,6 @@ DiskPlanCache::store(const std::string &key, const ArtifactPtr &artifact)
     ++stats_.stores;
 }
 
-void
-DiskPlanCache::recordNeighbor(NeighborOutcome outcome)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    switch (outcome) {
-    case NeighborOutcome::kHit: ++stats_.neighborHits; break;
-    case NeighborOutcome::kPartial: ++stats_.neighborPartials; break;
-    case NeighborOutcome::kMiss: ++stats_.neighborMisses; break;
-    }
-}
-
 ArtifactPtr
 DiskPlanCache::loadOrCompute(const std::string &key,
                              const std::function<ArtifactPtr()> &compute)
@@ -173,17 +156,10 @@ DiskPlanCache::flushSidecar()
         delta.stores = stats_.stores - flushed_.stores;
         delta.rejected = stats_.rejected - flushed_.rejected;
         delta.touchFailed = stats_.touchFailed - flushed_.touchFailed;
-        delta.neighborHits = stats_.neighborHits - flushed_.neighborHits;
-        delta.neighborPartials =
-            stats_.neighborPartials - flushed_.neighborPartials;
-        delta.neighborMisses =
-            stats_.neighborMisses - flushed_.neighborMisses;
         flushed_ = stats_;
     }
     if (delta.hits == 0 && delta.misses == 0 && delta.stores == 0
-        && delta.rejected == 0 && delta.touchFailed == 0
-        && delta.neighborHits == 0 && delta.neighborPartials == 0
-        && delta.neighborMisses == 0)
+        && delta.rejected == 0 && delta.touchFailed == 0)
         return readStatsSidecar(directory_);
     return mergeStatsSidecar(directory_, delta);
 }

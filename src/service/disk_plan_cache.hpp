@@ -38,14 +38,6 @@ namespace cmswitch {
 
 class JsonWriter;
 
-/** How an incremental compile's neighbor lookup resolved (see
- *  service/incremental/incremental_compile.hpp for the semantics). */
-enum class NeighborOutcome {
-    kHit,     ///< neighbor found and its warm state did real work
-    kPartial, ///< neighbor found but nothing was reusable
-    kMiss,    ///< no retained state in the request's family
-};
-
 /** Monotonic counters; snapshot via DiskPlanCache::stats(). */
 struct DiskPlanCacheStats
 {
@@ -56,14 +48,8 @@ struct DiskPlanCacheStats
                       ///< files ignored (each also counts as a miss)
     s64 touchFailed = 0; ///< hits whose LRU mtime refresh failed (e.g. a
                          ///< read-only cache dir); the hit still serves.
-                         ///< Persisted in the v2 sidecar alongside the
-                         ///< four totals above (v1 files read as zero)
-    /** @{ Incremental-compilation neighbor lookups (recordNeighbor);
-     *  persisted in the v3 sidecar, v2/v1 files read as zero. */
-    s64 neighborHits = 0;
-    s64 neighborPartials = 0;
-    s64 neighborMisses = 0;
-    /** @} */
+                         ///< Persisted in the sidecar alongside the
+                         ///< four totals above
 
     /** Emit {"disk_hits", ...} fields into the currently open object. */
     void writeJsonFields(JsonWriter &w) const;
@@ -102,14 +88,6 @@ class DiskPlanCache
      */
     ArtifactPtr loadOrCompute(const std::string &key,
                               const std::function<ArtifactPtr()> &compute);
-
-    /**
-     * Count one incremental-compilation neighbor lookup against this
-     * cache directory's stats (and, through the sidecar, its lifetime
-     * totals). Called by the neighbor compile path for requests that
-     * missed both the memory and disk caches.
-     */
-    void recordNeighbor(NeighborOutcome outcome);
 
     /** Absolute or user-relative plan file path for @p key. */
     std::string planPath(const std::string &key) const;

@@ -32,7 +32,6 @@ cacheOutcomeMet(CacheOutcome outcome)
     switch (outcome) {
     case CacheOutcome::kMemory: return obs::Met::kServeCacheMemory;
     case CacheOutcome::kDisk: return obs::Met::kServeCacheDisk;
-    case CacheOutcome::kNeighbor: return obs::Met::kServeCacheNeighbor;
     case CacheOutcome::kCold: return obs::Met::kServeCacheCold;
     }
     cmswitch_panic("cacheOutcomeMet: bad outcome ",
@@ -454,9 +453,6 @@ ServeEngine::statusLine(const std::string &id, bool interval)
         .field("disk",
                cacheOutcomes_[static_cast<std::size_t>(
                    CacheOutcome::kDisk)])
-        .field("neighbor",
-               cacheOutcomes_[static_cast<std::size_t>(
-                   CacheOutcome::kNeighbor)])
         .field("cold",
                cacheOutcomes_[static_cast<std::size_t>(
                    CacheOutcome::kCold)])
@@ -501,7 +497,7 @@ ServeEngine::statusLine(const std::string &id, bool interval)
         completedSnap_ = completed_;
     }
     w.endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 std::string

@@ -7,7 +7,7 @@
  * and maxInflight worker threads pull admitted requests off a
  * ServeQueue and run them through CompileService::compileNow — so the
  * admission gate bounds concurrent compiles directly, and the service's
- * memory/disk/neighbor cache chain plus single-flight semantics apply
+ * memory/disk/cold cache chain plus single-flight semantics apply
  * unchanged under serving load.
  *
  * What the engine adds on top of the queue's policy:
@@ -22,7 +22,7 @@
  *  - Latency accounting: every completed request records queue-wait
  *    (receipt -> worker pickup), execute (pickup -> artifact) and
  *    total seconds into LogHistograms, reported as p50/p90/p95/p99 in
- *    the cmswitch-serve-status-v2 document and mirrored to the global
+ *    the cmswitch-serve-status-v3 document and mirrored to the global
  *    obs:: registry when one is installed (--trace/--metrics). The
  *    quantiles are *cumulative since daemon start*; periodic
  *    --status-every lines additionally carry an "interval" block —
@@ -111,7 +111,7 @@ class ServeEngine
      *  this until released. */
     void drainIdle();
 
-    /** The cmswitch-serve-status-v2 document (compact one-liner,
+    /** The cmswitch-serve-status-v3 document (compact one-liner,
      *  cumulative counters/quantiles, no interval block). */
     std::string statusJson();
 
@@ -180,7 +180,7 @@ class ServeEngine
     bool held_ = false;
     bool stopping_ = false;
 
-    /** @{ status-v1 counters (guarded by mutex_). */
+    /** @{ Status counters (guarded by mutex_). */
     s64 received_ = 0;       ///< compile requests seen
     s64 admitted_ = 0;       ///< granted a queue slot
     s64 coalesced_ = 0;      ///< riders on an existing group
@@ -189,7 +189,7 @@ class ServeEngine
     s64 errors_ = 0;         ///< parse/resolve/compile failures
     s64 completed_ = 0;      ///< ok compile responses (incl. riders)
     s64 completedGroups_ = 0;
-    std::array<s64, 4> cacheOutcomes_{}; ///< indexed by CacheOutcome
+    std::array<s64, 3> cacheOutcomes_{}; ///< indexed by CacheOutcome
     /** @} */
 
     /** Latency estimators, cumulative since start (internally

@@ -176,6 +176,14 @@ resolveServeRequest(const ServeRequest &request, CompileRequest *out,
 }
 
 std::string
+serveLine(const JsonWriter &w)
+{
+    std::string line = w.str();
+    line.pop_back();
+    return line;
+}
+
+std::string
 renderServeAck(const std::string &id, const char *op)
 {
     JsonWriter w(0);
@@ -185,7 +193,7 @@ renderServeAck(const std::string &id, const char *op)
         .field("status", "ok")
         .field("op", op)
         .endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 std::string
@@ -198,7 +206,7 @@ renderServeError(const std::string &id, const std::string &message)
         .field("status", "error")
         .field("error", message)
         .endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 std::string
@@ -217,7 +225,7 @@ renderServeShed(const std::string &id, const char *reason, s64 queueDepth,
         .field("queue_depth", queueDepth)
         .field("inflight", inflight)
         .endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 std::string
@@ -245,7 +253,7 @@ renderServeResult(const ServeRequest &request,
         .field("queue_wait_seconds", latency.queueWaitSeconds)
         .field("execute_seconds", latency.executeSeconds)
         .endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 } // namespace cmswitch

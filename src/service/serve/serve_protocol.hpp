@@ -6,7 +6,7 @@
  * One JSON object per line in each direction. Requests carry an "op":
  *
  *   compile   {"op":"compile","id":"r1","model":"resnet18", ...}
- *   status    {"op":"status","id":"s1"}          status-v1 report
+ *   status    {"op":"status","id":"s1"}          status report
  *   hold      {"op":"hold","id":"h1"}            pause dispatch
  *   release   {"op":"release","id":"h2"}         resume dispatch
  *   drain     {"op":"drain","id":"d1"}           ack once idle
@@ -37,11 +37,13 @@
 
 namespace cmswitch {
 
+class JsonWriter;
+
 /** Schema tags of the two response document shapes. */
 inline constexpr const char *kServeResponseSchema =
     "cmswitch-serve-response-v1";
 inline constexpr const char *kServeStatusSchema =
-    "cmswitch-serve-status-v2";
+    "cmswitch-serve-status-v3";
 
 /** One parsed request line. */
 struct ServeRequest
@@ -95,6 +97,10 @@ bool serveCompilerKnown(const std::string &compiler);
 bool serveModelKnown(const std::string &model);
 bool serveModelIsTransformer(const std::string &model);
 /** @} */
+
+/** A finished compact (indent 0) document as one serve line: str()
+ *  without its trailing '\n' — the transport adds the terminator. */
+std::string serveLine(const JsonWriter &w);
 
 /** @{ Response renderers (compact one-line JSON, no trailing \n). */
 std::string renderServeAck(const std::string &id, const char *op);

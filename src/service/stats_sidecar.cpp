@@ -27,23 +27,12 @@ readStatsSidecar(const std::string &directory, bool *present)
     if (!readFileBytes(statsSidecarPath(directory), &data))
         return totals;
 
-    // Current (v3) envelope first; fall back to the v2 then v1 layouts
-    // so a sidecar written by an older build keeps its totals (absent
-    // trailing counters start at zero).
-    int version = 3;
     std::string_view payload;
     std::string error;
     if (!unwrapEnvelope(kStatsSidecarTag, data, &payload, &error)) {
-        version = 2;
-        if (!unwrapEnvelope(kStatsSidecarTagV2, data, &payload, &error)) {
-            version = 1;
-            if (!unwrapEnvelope(kStatsSidecarTagV1, data, &payload,
-                                &error)) {
-                informVerbose("ignoring damaged stats sidecar in ",
-                              directory, ": ", error);
-                return totals;
-            }
-        }
+        informVerbose("ignoring damaged stats sidecar in ", directory, ": ",
+                      error);
+        return totals;
     }
     try {
         BinaryReader r(payload);
@@ -51,13 +40,7 @@ readStatsSidecar(const std::string &directory, bool *present)
         totals.misses = r.readS64();
         totals.stores = r.readS64();
         totals.rejected = r.readS64();
-        if (version >= 2)
-            totals.touchFailed = r.readS64();
-        if (version >= 3) {
-            totals.neighborHits = r.readS64();
-            totals.neighborPartials = r.readS64();
-            totals.neighborMisses = r.readS64();
-        }
+        totals.touchFailed = r.readS64();
         r.expectEnd();
     } catch (const std::exception &e) {
         informVerbose("ignoring damaged stats sidecar in ", directory, ": ",
@@ -79,19 +62,13 @@ mergeStatsSidecar(const std::string &directory,
     totals.stores += delta.stores;
     totals.rejected += delta.rejected;
     totals.touchFailed += delta.touchFailed;
-    totals.neighborHits += delta.neighborHits;
-    totals.neighborPartials += delta.neighborPartials;
-    totals.neighborMisses += delta.neighborMisses;
 
     BinaryWriter payload;
     payload.writeS64(totals.hits)
         .writeS64(totals.misses)
         .writeS64(totals.stores)
         .writeS64(totals.rejected)
-        .writeS64(totals.touchFailed)
-        .writeS64(totals.neighborHits)
-        .writeS64(totals.neighborPartials)
-        .writeS64(totals.neighborMisses);
+        .writeS64(totals.touchFailed);
     std::string image = wrapEnvelope(kStatsSidecarTag, payload.bytes());
 
     // Same temp-file + atomic-rename publication as plan artifacts

@@ -9,12 +9,11 @@
  * destroyed (or on an explicit flush), using the same tmp-file +
  * atomic-rename publication protocol as plan artifacts: a reader never
  * sees a torn sidecar. The file is a wrapEnvelope() document
- * (`cmswitch-cache-stats-v3` tag + length + FNV-1a digest) over eight
+ * (`cmswitch-cache-stats-v2` tag + length + FNV-1a digest) over five
  * little-endian s64 totals (hits, misses, stores, rejected,
- * touchFailed, neighborHits, neighborPartials, neighborMisses).
- * Writers always publish v3; readers also accept the five-total v2 and
- * four-total v1 layouts written by older builds (absent totals read as
- * zero) so a shared cache directory upgrades in place.
+ * touchFailed). It is the only layout read or written: a sidecar with
+ * any other tag (the v1 and v3 layouts of older builds) reads as absent
+ * and is overwritten by the next merge — the plan-file policy.
  *
  * Accuracy contract: the read-modify-write merge is not transactional
  * across processes — two processes flushing at the same instant can
@@ -40,24 +39,15 @@ inline constexpr std::string_view kStatsSidecarName = "cache-stats.sidecar";
 
 /** Format tag written by this build (wrapEnvelope document). */
 inline constexpr std::string_view kStatsSidecarTag =
-    "cmswitch-cache-stats-v3\n";
-
-/** Legacy five-total layout (no neighbor counters); still readable,
- *  never written. */
-inline constexpr std::string_view kStatsSidecarTagV2 =
     "cmswitch-cache-stats-v2\n";
-
-/** Legacy four-total layout; still readable, never written. */
-inline constexpr std::string_view kStatsSidecarTagV1 =
-    "cmswitch-cache-stats-v1\n";
 
 /** `<directory>/cache-stats.sidecar`. */
 std::string statsSidecarPath(const std::string &directory);
 
 /**
- * Read the sidecar totals. A missing, truncated, or corrupt sidecar
- * yields all-zero totals with @p present (when non-null) set false —
- * stats degrade, they never fail.
+ * Read the sidecar totals. A missing, truncated, corrupt, or
+ * other-version sidecar yields all-zero totals with @p present (when
+ * non-null) set false — stats degrade, they never fail.
  */
 DiskPlanCacheStats readStatsSidecar(const std::string &directory,
                                     bool *present = nullptr);

@@ -50,7 +50,6 @@
 #include "service/cache_maintenance.hpp"
 #include "service/compile_service.hpp"
 #include "service/disk_plan_cache.hpp"
-#include "service/incremental/incremental_compile.hpp"
 #include "service/json_report.hpp"
 #include "service/plan_fingerprint.hpp"
 #include "service/serve/serve_engine.hpp"
@@ -165,8 +164,8 @@ outcomes (periodic --status-every lines add interval deltas):
                          compiles (default 0 = off)
   --cache-capacity N     compiled plans kept in memory (default 256)
   --cache-dir DIR        persistent plan cache; lookups go memory ->
-                         disk -> neighbor -> cold and responses say
-                         which step served them
+                         disk -> cold and responses say which step
+                         served them
   --search-threads N     plan-search threads inside each compile
                          (default 1)
   --trace FILE           Chrome trace-event JSON covering the whole
@@ -535,12 +534,7 @@ singleMain(int argc, char **argv)
             std::cerr << "cmswitchc: plan cache disk hit (" << key
                       << ") in " << disk.directory() << "\n";
         } else {
-            // Miss: compile warm-started from the structurally closest
-            // retained search state in this cache dir (byte-identical
-            // to a cold compile; only faster when a neighbor exists).
-            WarmStateStore warm_store(args.cacheDir);
-            artifact = compileArtifactIncremental(request, key, warm_store,
-                                                  &disk);
+            artifact = compileArtifact(request, key);
             disk.store(key, artifact);
             std::cerr << "cmswitchc: plan cache miss; stored " << key
                       << " in " << disk.directory() << "\n";
@@ -891,7 +885,7 @@ batchMain(int argc, char **argv)
         sidecar = service.diskCache()->flushSidecar();
     JsonWriter w;
     w.beginObject()
-        .field("schema", "cmswitch-batch-summary-v5")
+        .field("schema", "cmswitch-batch-summary-v6")
         .field("jobs", static_cast<s64>(jobs.size()))
         .field("threads", batch.threads)
         .field("search_threads", batch.searchThreads)
@@ -914,12 +908,7 @@ batchMain(int argc, char **argv)
         .field("sidecar_misses", sidecar.misses)
         .field("sidecar_stores", sidecar.stores)
         .field("sidecar_rejected", sidecar.rejected)
-        .field("sidecar_touch_failed", sidecar.touchFailed)
-        // v5: incremental-compilation neighbor totals (see
-        // service/incremental/incremental_compile.hpp).
-        .field("sidecar_neighbor_hits", sidecar.neighborHits)
-        .field("sidecar_neighbor_partials", sidecar.neighborPartials)
-        .field("sidecar_neighbor_misses", sidecar.neighborMisses);
+        .field("sidecar_touch_failed", sidecar.touchFailed);
     w.endObject();
     // v4: compile-latency quantiles (p50/p90/p95/p99 from the log
     // histograms) plus the full metrics snapshot — the timing half of

@@ -26,18 +26,10 @@
 #     the field, and informational when the producing machine has fewer
 #     hardware threads than config.search_threads — a 1-core runner
 #     measures parallelism overhead, not parallelism.
-#  4. summary.geomean_warm_neighbor_speedup (incremental recompile from
-#     a retained warm-state neighbor vs cold, generative workloads)
-#     must stay >= MIN_NEIGHBOR_SPEEDUP (default 5.000, thousandths;
-#     [-DMIN_NEIGHBOR_SPEEDUP_MILLI=5000]). Skipped when the report
-#     omits the field. CPU-bound (no thread-count caveat): the warm
-#     path skips DP/allocator work it can import, it does not add
-#     parallelism.
 #
 # Environment overrides (useful on noisy shared CI runners):
 #   CMSWITCH_BENCH_GATE_TOLERANCE_PERCENT, CMSWITCH_BENCH_GATE_MIN_SPEEDUP_MILLI,
-#   CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI,
-#   CMSWITCH_BENCH_GATE_MIN_NEIGHBOR_SPEEDUP_MILLI
+#   CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI
 #
 # On failure the gate prints how to refresh the baseline; see
 # "Compile-time benchmarking" in README.md.
@@ -62,11 +54,6 @@ if(DEFINED ENV{CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI})
     set(MIN_SEARCH_SPEEDUP_MILLI $ENV{CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI})
 elseif(NOT DEFINED MIN_SEARCH_SPEEDUP_MILLI)
     set(MIN_SEARCH_SPEEDUP_MILLI 1800)
-endif()
-if(DEFINED ENV{CMSWITCH_BENCH_GATE_MIN_NEIGHBOR_SPEEDUP_MILLI})
-    set(MIN_NEIGHBOR_SPEEDUP_MILLI $ENV{CMSWITCH_BENCH_GATE_MIN_NEIGHBOR_SPEEDUP_MILLI})
-elseif(NOT DEFINED MIN_NEIGHBOR_SPEEDUP_MILLI)
-    set(MIN_NEIGHBOR_SPEEDUP_MILLI 5000)
 endif()
 
 # Noise floor: wall-time deltas below this baseline are informational
@@ -256,30 +243,6 @@ ${MIN_SEARCH_SPEEDUP_MILLI}/1000x")
                 "bench_gate: geomean search-threads speedup: "
                 "${search_speedup}x at ${search_threads} threads "
                 "(floor ${MIN_SEARCH_SPEEDUP_MILLI}/1000x)")
-    endif()
-endif()
-
-# Gate 4: incremental recompilation from a warm-state neighbor must
-# stay dramatically cheaper than a cold compile — it skips the DP scan
-# and allocator searches wholesale on an exact structural match. Absent
-# field (old baseline / partial report) skips the check.
-string(JSON warm_speedup ERROR_VARIABLE warm_speedup_error
-       GET "${report_json}" summary geomean_warm_neighbor_speedup)
-if(warm_speedup_error)
-    message(STATUS
-            "bench_gate: report has no geomean_warm_neighbor_speedup — "
-            "skipping the warm-neighbor check")
-else()
-    to_nanos(${warm_speedup} warm_speedup_nanos)
-    math(EXPR warm_speedup_milli "${warm_speedup_nanos} / 1000000")
-    if(warm_speedup_milli LESS ${MIN_NEIGHBOR_SPEEDUP_MILLI})
-        list(APPEND failures
-             "geomean warm-neighbor speedup is ${warm_speedup}x, below \
-the required ${MIN_NEIGHBOR_SPEEDUP_MILLI}/1000x")
-    else()
-        message(STATUS
-                "bench_gate: geomean warm-neighbor speedup: "
-                "${warm_speedup}x (floor ${MIN_NEIGHBOR_SPEEDUP_MILLI}/1000x)")
     endif()
 endif()
 

@@ -330,21 +330,48 @@ TEST(StatsSidecar, AccumulatesAcrossCacheInstances)
 
 TEST(StatsSidecar, DamagedSidecarReadsAsZeroAndIsRewritten)
 {
-    ScratchDir dir("sidecar_damaged");
-    std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
-        << "garbage, not an envelope";
-    bool present = true;
-    DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_FALSE(present);
-    EXPECT_EQ(totals.hits + totals.misses + totals.stores + totals.rejected,
-              0);
+    // Garbage, and the layouts older builds wrote: v1 (four totals) and
+    // v3 (eight). v2 is the one live layout, so each reads as absent
+    // and the next merge overwrites it — the plan-file policy.
+    auto image = [](const char *tag, int totals) {
+        BinaryWriter payload;
+        for (int i = 0; i < totals; ++i)
+            payload.writeS64(10 + i);
+        return wrapEnvelope(tag, payload.bytes());
+    };
+    const std::string inputs[] = {
+        "garbage, not an envelope",
+        image("cmswitch-cache-stats-v1\n", 4),
+        image("cmswitch-cache-stats-v3\n", 8),
+    };
+    for (const std::string &input : inputs) {
+        SCOPED_TRACE(input.substr(0, 24));
+        ScratchDir dir("sidecar_damaged");
+        std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
+            << input;
+        bool present = true;
+        DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
+        EXPECT_FALSE(present);
+        EXPECT_EQ(totals.hits + totals.misses + totals.stores
+                      + totals.rejected + totals.touchFailed,
+                  0);
 
-    DiskPlanCacheStats delta;
-    delta.hits = 5;
-    mergeStatsSidecar(dir.str(), delta);
-    totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_TRUE(present);
-    EXPECT_EQ(totals.hits, 5);
+        DiskPlanCacheStats delta;
+        delta.hits = 5;
+        mergeStatsSidecar(dir.str(), delta);
+        totals = readStatsSidecar(dir.str(), &present);
+        EXPECT_TRUE(present);
+        EXPECT_EQ(totals.hits, 5);
+        EXPECT_EQ(totals.rejected, 0);
+
+        std::string data;
+        ASSERT_TRUE(readFileBytes(statsSidecarPath(dir.str()), &data));
+        std::string_view rewritten;
+        std::string error;
+        EXPECT_TRUE(
+            unwrapEnvelope(kStatsSidecarTag, data, &rewritten, &error))
+            << error;
+    }
 }
 
 TEST(StatsSidecar, V2RoundtripsTouchFailed)
@@ -373,117 +400,6 @@ TEST(StatsSidecar, V2RoundtripsTouchFailed)
     report.writeJson(w);
     EXPECT_NE(w.str().find("\"touch_failed\": 7"), std::string::npos)
         << w.str();
-}
-
-TEST(StatsSidecar, ReadsV1FormatAndUpgradesOnMerge)
-{
-    ScratchDir dir("sidecar_v1");
-    // A sidecar as an older build wrote it: the v1 tag, four counters.
-    BinaryWriter payload;
-    payload.writeS64(10).writeS64(20).writeS64(30).writeS64(40);
-    std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
-        << wrapEnvelope(kStatsSidecarTagV1, payload.bytes());
-
-    bool present = false;
-    DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_TRUE(present);
-    EXPECT_EQ(totals.hits, 10);
-    EXPECT_EQ(totals.misses, 20);
-    EXPECT_EQ(totals.stores, 30);
-    EXPECT_EQ(totals.rejected, 40);
-    EXPECT_EQ(totals.touchFailed, 0); // v1 has no fifth counter
-
-    // The first merge preserves the v1 totals and rewrites the file in
-    // the v2 envelope.
-    DiskPlanCacheStats delta;
-    delta.hits = 1;
-    delta.touchFailed = 2;
-    totals = mergeStatsSidecar(dir.str(), delta);
-    EXPECT_EQ(totals.hits, 11);
-    EXPECT_EQ(totals.rejected, 40);
-    EXPECT_EQ(totals.touchFailed, 2);
-
-    std::string data;
-    ASSERT_TRUE(readFileBytes(statsSidecarPath(dir.str()), &data));
-    std::string_view upgraded;
-    std::string error;
-    EXPECT_TRUE(unwrapEnvelope(kStatsSidecarTag, data, &upgraded, &error))
-        << error;
-    totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_TRUE(present);
-    EXPECT_EQ(totals.touchFailed, 2);
-}
-
-TEST(StatsSidecar, V3RoundtripsNeighborCounters)
-{
-    ScratchDir dir("sidecar_v3");
-    DiskPlanCacheStats delta;
-    delta.neighborHits = 3;
-    delta.neighborPartials = 2;
-    delta.neighborMisses = 1;
-    mergeStatsSidecar(dir.str(), delta);
-
-    bool present = false;
-    DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_TRUE(present);
-    EXPECT_EQ(totals.neighborHits, 3);
-    EXPECT_EQ(totals.neighborPartials, 2);
-    EXPECT_EQ(totals.neighborMisses, 1);
-
-    // DiskPlanCache::recordNeighbor feeds the same counters through the
-    // flush path other totals use.
-    {
-        DiskPlanCache cache(dir.str());
-        cache.recordNeighbor(NeighborOutcome::kHit);
-        cache.recordNeighbor(NeighborOutcome::kMiss);
-        EXPECT_EQ(cache.stats().neighborHits, 1);
-        EXPECT_EQ(cache.stats().neighborMisses, 1);
-    }
-    totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_EQ(totals.neighborHits, 4);
-    EXPECT_EQ(totals.neighborPartials, 2);
-    EXPECT_EQ(totals.neighborMisses, 2);
-
-    // And `cache stats` surfaces them in the JSON report.
-    CacheStatsReport report = statsPlanCache(dir.str());
-    JsonWriter w;
-    report.writeJson(w);
-    EXPECT_NE(w.str().find("\"neighbor_hits\": 4"), std::string::npos)
-        << w.str();
-    EXPECT_NE(w.str().find("\"neighbor_misses\": 2"), std::string::npos)
-        << w.str();
-}
-
-TEST(StatsSidecar, ReadsV2FormatWithZeroNeighborCounters)
-{
-    ScratchDir dir("sidecar_v2_legacy");
-    // A sidecar as the previous build wrote it: v2 tag, five counters.
-    BinaryWriter payload;
-    payload.writeS64(1).writeS64(2).writeS64(3).writeS64(4).writeS64(5);
-    std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
-        << wrapEnvelope(kStatsSidecarTagV2, payload.bytes());
-
-    bool present = false;
-    DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
-    EXPECT_TRUE(present);
-    EXPECT_EQ(totals.hits, 1);
-    EXPECT_EQ(totals.touchFailed, 5);
-    EXPECT_EQ(totals.neighborHits, 0); // v2 has no neighbor counters
-    EXPECT_EQ(totals.neighborPartials, 0);
-    EXPECT_EQ(totals.neighborMisses, 0);
-
-    // The first merge upgrades the file to the v3 envelope in place.
-    DiskPlanCacheStats delta;
-    delta.neighborHits = 7;
-    totals = mergeStatsSidecar(dir.str(), delta);
-    EXPECT_EQ(totals.hits, 1);
-    EXPECT_EQ(totals.neighborHits, 7);
-    std::string data;
-    ASSERT_TRUE(readFileBytes(statsSidecarPath(dir.str()), &data));
-    std::string_view upgraded;
-    std::string error;
-    EXPECT_TRUE(unwrapEnvelope(kStatsSidecarTag, data, &upgraded, &error))
-        << error;
 }
 
 TEST(PlanFingerprint, RevisionBumpChangesAndRevertRestoresTheDigest)
@@ -530,7 +446,7 @@ TEST(CacheReports, JsonDocumentsCarryTheirSchemas)
 
     JsonWriter stats_doc;
     statsPlanCache(dir.str()).writeJson(stats_doc);
-    EXPECT_NE(stats_doc.str().find("cmswitch-cache-stats-report-v2"),
+    EXPECT_NE(stats_doc.str().find("cmswitch-cache-stats-report-v3"),
               std::string::npos);
 
     JsonWriter verify_doc;

@@ -6,15 +6,12 @@
 #   2. corrupted / truncated / version-bumped artifact files silently
 #      recompile and still produce the identical report;
 #   3. `cache stats` sees the *lifetime* totals those five processes
-#      merged into the stats sidecar — including the incremental
-#      neighbor counters: the first compile has no retained warm state
-#      (1 miss), the three damaged-artifact recompiles warm-start from
-#      the first run's .warm sidecar (3 hits) and still byte-match;
+#      merged into the stats sidecar;
 #   4. the full 3-chip x 4-workload x 4-compiler batch matrix run cold
 #      (serial) then warm (4 threads) over a shared --cache-dir: the
 #      warm pass compiles nothing (every unique key is a disk hit),
 #      every per-job report is byte-identical to the cold serial run,
-#      and the v5 summaries carry matching sidecar/fingerprint fields;
+#      and the v6 summaries carry matching sidecar/fingerprint fields;
 #   4b. the parallel plan search swept across real processes: a cold
 #      batch at --search-threads 8 (own cache dir, so all 48 cells
 #      really compile through the parallel search) must byte-match
@@ -23,6 +20,9 @@
 #      plans cached at width 1 satisfy requests at any width;
 #   5. `cache verify` passes the warm directory, `cache gc
 #      --max-bytes 0` then reaps every artifact but never the sidecar.
+# Every cache dir holds only *.plan files and the stats sidecar, so gc
+# sees (and bounds) all of it: `cache gc --max-bytes N` leaves at most
+# N plan bytes behind.
 # Run as `cmake -DCMSWITCHC=<exe> -DWORK_DIR=<dir> -P cache_smoke.cmake`.
 
 if(NOT CMSWITCHC)
@@ -108,6 +108,28 @@ if(NOT same EQUAL 0)
     message(FATAL_ERROR "report after truncated-artifact recompile differs")
 endif()
 
+# expect_only_plans(<dir> <bytes_var>): ${dir} holds nothing but *.plan
+# artifacts and the stats sidecar; returns the plan bytes.
+function(expect_only_plans dir bytes_var)
+    file(GLOB entries LIST_DIRECTORIES true "${dir}/*")
+    set(bytes 0)
+    foreach(entry IN LISTS entries)
+        get_filename_component(name "${entry}" NAME)
+        if(name STREQUAL "cache-stats.sidecar")
+            continue()
+        endif()
+        if(IS_DIRECTORY "${entry}" OR NOT name MATCHES "\\.plan$")
+            message(FATAL_ERROR "${dir} holds '${name}': expected only "
+                                "*.plan files and cache-stats.sidecar")
+        endif()
+        file(SIZE "${entry}" size)
+        math(EXPR bytes "${bytes} + ${size}")
+    endforeach()
+    set(${bytes_var} ${bytes} PARENT_SCOPE)
+endfunction()
+
+expect_only_plans(${cache_dir} single_bytes)
+
 # --- 3. cache stats: lifetime totals survive across processes ---------
 
 # run_cache(<out_var> <verb> <args...>): run a `cmswitchc cache` verb
@@ -144,13 +166,7 @@ expect_json("${stats_doc}" 4 misses)
 expect_json("${stats_doc}" 4 stores)
 expect_json("${stats_doc}" 3 rejected)
 expect_json("${stats_doc}" 1 plan_files)
-# Incremental compilation: the cold run found no retained warm state
-# (1 neighbor miss) and published a .warm sidecar; each damaged-artifact
-# recompile warm-started from it (3 neighbor hits) — and stage 2 already
-# proved those warm recompiles byte-match the cold report.
-expect_json("${stats_doc}" 3 neighbor_hits)
-expect_json("${stats_doc}" 0 neighbor_partials)
-expect_json("${stats_doc}" 1 neighbor_misses)
+expect_json("${stats_doc}" ${single_bytes} plan_bytes)
 string(JSON build_fingerprint GET "${stats_doc}" fingerprint)
 
 # --- 4. batch matrix: cold serial, then warm multi-threaded -----------
@@ -220,11 +236,11 @@ endfunction()
 
 # Cold pass: nothing on disk yet -> every unique key misses disk and is
 # stored; warm pass: every unique key is served from disk, zero stores.
-# The v5 summaries also carry the cross-process sidecar totals (cold
+# The v6 summaries also carry the cross-process sidecar totals (cold
 # flushed before its summary, warm sees cold's flush plus its own) and
 # the build fingerprint every process of this build agrees on.
 file(READ ${WORK_DIR}/cold-serial/summary.json cold_summary)
-expect_summary("${cold_summary}" cmswitch-batch-summary-v5 schema)
+expect_summary("${cold_summary}" cmswitch-batch-summary-v6 schema)
 expect_summary("${cold_summary}" ${job_count} jobs)
 expect_summary("${cold_summary}" 0 invalid_jobs)
 expect_summary("${cold_summary}" ${job_count} cache disk_misses)
@@ -234,12 +250,6 @@ expect_summary("${cold_summary}" 0 cache sidecar_hits)
 expect_summary("${cold_summary}" ${job_count} cache sidecar_misses)
 expect_summary("${cold_summary}" ${job_count} cache sidecar_stores)
 expect_summary("${cold_summary}" 0 cache sidecar_touch_failed)
-# Every matrix cell is a distinct structural family (chip x model x
-# compiler), so the cold pass finds no warm neighbors anywhere.
-expect_summary("${cold_summary}" 0 cache disk_neighbor_hits)
-expect_summary("${cold_summary}" 0 cache disk_neighbor_partials)
-expect_summary("${cold_summary}" ${job_count} cache disk_neighbor_misses)
-expect_summary("${cold_summary}" ${job_count} cache sidecar_neighbor_misses)
 expect_summary("${cold_summary}" ${build_fingerprint} cache fingerprint)
 # v4: the latency section's deterministic halves — every cold job
 # compiled (one kPhaseCompile sample each), every job executed.
@@ -256,11 +266,6 @@ expect_summary("${warm_summary}" 0 cache disk_rejected)
 expect_summary("${warm_summary}" ${job_count} cache sidecar_hits)
 expect_summary("${warm_summary}" ${job_count} cache sidecar_misses)
 expect_summary("${warm_summary}" ${job_count} cache sidecar_stores)
-# Disk hits never reach the neighbor step of the lookup chain: the warm
-# pass adds nothing to the neighbor totals.
-expect_summary("${warm_summary}" 0 cache disk_neighbor_misses)
-expect_summary("${warm_summary}" 0 cache disk_neighbor_hits)
-expect_summary("${warm_summary}" ${job_count} cache sidecar_neighbor_misses)
 expect_summary("${warm_summary}" ${build_fingerprint} cache fingerprint)
 # Warm pass serves every job from disk: zero compiles, full executes.
 expect_summary("${warm_summary}" 0 latency compile_seconds count)
@@ -328,7 +333,21 @@ foreach(report IN LISTS reports)
     endif()
 endforeach()
 
+expect_only_plans(${batch_cache} batch_bytes)
+expect_only_plans(${WORK_DIR}/batch-plan-cache-st8 st8_bytes)
+
 # --- 5. lifecycle: verify passes, gc reaps plans but not the sidecar --
+
+# A byte budget bounds the whole directory: gc to half the st8 cache's
+# plan bytes keeps some plans and leaves at most the budget behind.
+math(EXPR budget "${st8_bytes} / 2")
+run_cache(budget_doc gc --cache-dir ${WORK_DIR}/batch-plan-cache-st8
+          --max-bytes ${budget})
+expect_only_plans(${WORK_DIR}/batch-plan-cache-st8 kept_bytes)
+if(kept_bytes GREATER budget OR kept_bytes EQUAL 0)
+    message(FATAL_ERROR "cache gc --max-bytes ${budget} left ${kept_bytes} "
+                        "plan bytes (of ${st8_bytes})")
+endif()
 
 run_cache(verify_doc verify --cache-dir ${batch_cache})
 expect_json("${verify_doc}" ${job_count} scanned_files)
@@ -351,8 +370,6 @@ expect_json("${post_gc_stats}" ON sidecar_present)
 expect_json("${post_gc_stats}" ${two_warm_passes} hits)
 expect_json("${post_gc_stats}" ${job_count} misses)
 expect_json("${post_gc_stats}" ${job_count} stores)
-expect_json("${post_gc_stats}" 0 neighbor_hits)
-expect_json("${post_gc_stats}" ${job_count} neighbor_misses)
 
 message(STATUS "cache_smoke: single-mode warm start, damaged-artifact "
                "recompile, sidecar stats, ${job_count}-job warm batch, "

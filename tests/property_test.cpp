@@ -14,8 +14,6 @@
 #include "compiler/segmenter.hpp"
 #include "graph/serialize.hpp"
 #include "models/model_zoo.hpp"
-#include "scenario_util.hpp"
-#include "service/incremental/structural_digest.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -288,180 +286,6 @@ TEST_P(PartitionConservation, SlicesPreserveTotals)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionConservation,
                          ::testing::Range(0, 10));
-
-// ---------------------------------------------------------------------
-// Structural digests (incremental compilation's neighbor index).
-// ---------------------------------------------------------------------
-
-/**
- * Every cell of the scenario matrix (3 chips x 4 workloads x 4
- * compilers), plus a shape-mutated variant of each workload, must map
- * to a distinct exact digest and a distinct family — and rebuilding
- * the identical request must reproduce all four digest components
- * bit-for-bit (the builders append ops in one deterministic order, so
- * digest stability is order stability).
- */
-TEST(StructuralDigestProperties, MatrixCellsDistinctAndOrderStable)
-{
-    std::unordered_set<u64> exacts, families;
-    s64 cells = 0;
-    for (const std::string &chip : testing::scenarioChipNames()) {
-        for (const std::string &workload :
-             testing::scenarioWorkloadNames()) {
-            for (const std::string &compiler :
-                 testing::scenarioCompilerNames()) {
-                CompileRequest request;
-                request.chip = testing::scenarioChip(chip);
-                request.workload = testing::scenarioWorkload(workload);
-                request.compilerId = compiler;
-                StructuralDigest a = requestStructuralDigest(request);
-
-                CompileRequest rebuilt;
-                rebuilt.chip = testing::scenarioChip(chip);
-                rebuilt.workload = testing::scenarioWorkload(workload);
-                rebuilt.compilerId = compiler;
-                StructuralDigest b = requestStructuralDigest(rebuilt);
-                EXPECT_TRUE(a == b)
-                    << chip << "/" << workload << "/" << compiler;
-
-                EXPECT_TRUE(exacts.insert(a.exact).second)
-                    << "exact collision at " << chip << "/" << workload
-                    << "/" << compiler;
-                EXPECT_TRUE(families.insert(a.family).second)
-                    << "family collision at " << chip << "/" << workload
-                    << "/" << compiler;
-                ++cells;
-            }
-        }
-    }
-    EXPECT_EQ(cells, 48);
-
-    // Mutated variants: one extra transformer layer is an op insert —
-    // a *structural* change, so the family moves and cannot collide
-    // with any unmutated cell's.
-    for (const char *workload : {"bert-base-prefill", "opt-6.7b-decode"}) {
-        CompileRequest request;
-        request.chip = testing::scenarioChip("tiny");
-        request.workload = testing::scenarioWorkload(
-            workload, testing::kTier1TransformerLayers + 1);
-        request.compilerId = "cmswitch";
-        StructuralDigest d = requestStructuralDigest(request);
-        EXPECT_TRUE(families.insert(d.family).second) << workload;
-        EXPECT_TRUE(exacts.insert(d.exact).second) << workload;
-    }
-}
-
-/**
- * KV-bucket variants are the neighbor lookup's bread and butter: the
- * same decode program at two cache lengths shares a family (shape-free
- * structure) while every shape-inclusive component separates them.
- */
-TEST(StructuralDigestProperties, KvVariantsShareFamilyNotExact)
-{
-    TransformerConfig cfg = TransformerConfig::opt6_7b();
-    cfg.layers = 2;
-    CompileRequest a, b;
-    a.chip = b.chip = testing::scenarioChip("tiny");
-    a.compilerId = b.compilerId = "cmswitch";
-    a.workload = buildTransformerDecodeStep(cfg, 1, 81);
-    b.workload = buildTransformerDecodeStep(cfg, 1, 113);
-    StructuralDigest da = requestStructuralDigest(a);
-    StructuralDigest db = requestStructuralDigest(b);
-    EXPECT_EQ(da.family, db.family);
-    EXPECT_NE(da.exact, db.exact);
-
-    // The same graph under a different compiler id (or chip) is a
-    // different family: warm state never leaks across configurations.
-    CompileRequest c = a;
-    c.compilerId = "cim-mlc";
-    EXPECT_NE(requestStructuralDigest(c).family, da.family);
-}
-
-/** Deterministic matmul chain: op i maps dims[i] -> dims[i+1]. */
-Graph
-chainGraph(const std::vector<s64> &dims)
-{
-    Graph g("digest-chain");
-    TensorId cursor = g.addTensor("x", Shape{1, dims[0]}, DType::kInt8,
-                                  TensorKind::kInput);
-    for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-        TensorId w = g.addTensor(concat("w", i),
-                                 Shape{dims[i], dims[i + 1]}, DType::kInt8,
-                                 TensorKind::kWeight);
-        TensorId y = g.addTensor(concat("y", i), Shape{1, dims[i + 1]});
-        Operator mm;
-        mm.name = "mm" + std::to_string(i);
-        mm.kind = OpKind::kMatMul;
-        mm.inputs = {cursor, w};
-        mm.outputs = {y};
-        g.addOp(mm);
-        cursor = y;
-    }
-    g.tensor(cursor).kind = TensorKind::kOutput;
-    g.validate();
-    return g;
-}
-
-class StructuralDigestWindows : public ::testing::TestWithParam<int>
-{
-};
-
-/**
- * The prefix/suffix windows are what ranks same-family candidates, so
- * pin their blast radius exactly: a shape bump strictly between the
- * two windows leaves both intact (exact alone moves); a bump inside
- * one window dirties that window and only that window. Random chain
- * lengths and dims; the family never moves on a pure shape change.
- */
-TEST_P(StructuralDigestWindows, ShapeBumpDirtiesOnlyItsWindow)
-{
-    Rng rng(static_cast<u64>(GetParam()) * 1099511628211ull + 5);
-    const s64 n = rng.nextInt(3 * kDigestWindow, 4 * kDigestWindow);
-    std::vector<s64> dims;
-    for (s64 i = 0; i <= n; ++i)
-        dims.push_back(8 * rng.nextInt(2, 6));
-    const u64 seed = 0x5eedu + static_cast<u64>(GetParam());
-    StructuralDigest base = graphStructuralDigest(chainGraph(dims), seed);
-
-    // Same graph, different context seed: nothing survives.
-    StructuralDigest other = graphStructuralDigest(chainGraph(dims),
-                                                   seed + 1);
-    EXPECT_NE(other.family, base.family);
-    EXPECT_NE(other.exact, base.exact);
-
-    auto bumped = [&](s64 index) {
-        std::vector<s64> copy = dims;
-        copy[static_cast<std::size_t>(index)] += 8;
-        return graphStructuralDigest(chainGraph(copy), seed);
-    };
-
-    // Strictly between the windows. Op i touches dims[i] and
-    // dims[i+1], so a bump at index k dirties ops k-1 and k: keep k-1
-    // inside [kDigestWindow, n - kDigestWindow).
-    StructuralDigest mid = bumped(
-        rng.nextInt(kDigestWindow + 1, n - kDigestWindow));
-    EXPECT_EQ(mid.family, base.family);
-    EXPECT_EQ(mid.prefix, base.prefix);
-    EXPECT_EQ(mid.suffix, base.suffix);
-    EXPECT_NE(mid.exact, base.exact);
-
-    // Inside the prefix window only.
-    StructuralDigest head = bumped(rng.nextInt(0, kDigestWindow - 1));
-    EXPECT_EQ(head.family, base.family);
-    EXPECT_NE(head.prefix, base.prefix);
-    EXPECT_EQ(head.suffix, base.suffix);
-    EXPECT_NE(head.exact, base.exact);
-
-    // Inside the suffix window only.
-    StructuralDigest tail = bumped(rng.nextInt(n - kDigestWindow + 2, n));
-    EXPECT_EQ(tail.family, base.family);
-    EXPECT_EQ(tail.prefix, base.prefix);
-    EXPECT_NE(tail.suffix, base.suffix);
-    EXPECT_NE(tail.exact, base.exact);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StructuralDigestWindows,
-                         ::testing::Range(0, 8));
 
 } // namespace
 } // namespace cmswitch

@@ -5,9 +5,11 @@
 #      workers, then a admitted / b coalesced / e admitted with an
 #      already-expired deadline / d shed at the gate; release; a late
 #      duplicate f memory-hits) — every response and every counter of
-#      the cmswitch-serve-status-v2 report checked, plus --status-every
+#      the cmswitch-serve-status-v3 report checked, plus --status-every
 #      periodic lines on stderr (which additionally carry an "interval"
 #      delta block; the on-demand status op must not).
+#      Every response and status line is exactly one line: no empty
+#      line anywhere in stdout or stderr.
 #   2. Unix-socket session: a background daemon plus the `serve
 #      --connect` client (two processes), exercising one coalesced
 #      duplicate and one admission shed over the socket, then a clean
@@ -41,6 +43,15 @@ function(response_for id lines_var out_var)
         message(FATAL_ERROR "no response with id '${id}'")
     endif()
     set(${out_var} "${found}" PARENT_SCOPE)
+endfunction()
+
+# One document per line: an empty line anywhere in ${text} fails.
+function(expect_no_empty_lines text what)
+    string(FIND "${text}" "\n\n" at)
+    string(SUBSTRING "${text}" 0 1 first)
+    if(NOT at EQUAL -1 OR first STREQUAL "\n")
+        message(FATAL_ERROR "empty line in the ${what}:\n${text}")
+    endif()
 endfunction()
 
 function(expect_field doc expected)
@@ -77,6 +88,8 @@ execute_process(COMMAND ${CMSWITCHC} serve --max-inflight 1 --max-queue 2
 if(NOT result EQUAL 0)
     message(FATAL_ERROR "stdin serve session failed (${result}):\n${err}")
 endif()
+expect_no_empty_lines("${out}" "stdin session's responses")
+expect_no_empty_lines("${err}" "stdin session's stderr")
 string(REPLACE "\n" ";" lines "${out}")
 
 # a compiled cold and led the group; its duplicate b rode along and got
@@ -115,9 +128,9 @@ response_for(f lines resp)
 expect_field("${resp}" "ok" status)
 expect_field("${resp}" "memory" cache)
 
-# The status-v2 report: every counter pinned by the scenario.
+# The status-v3 report: every counter pinned by the scenario.
 response_for(s lines status)
-expect_field("${status}" "cmswitch-serve-status-v2" schema)
+expect_field("${status}" "cmswitch-serve-status-v3" schema)
 expect_field("${status}" "5" requests received)
 expect_field("${status}" "3" requests admitted)
 expect_field("${status}" "1" requests coalesced)
@@ -129,8 +142,12 @@ expect_field("${status}" "0" queue depth)
 expect_field("${status}" "0" queue inflight)
 expect_field("${status}" "1" cache memory)
 expect_field("${status}" "0" cache disk)
-expect_field("${status}" "0" cache neighbor)
 expect_field("${status}" "1" cache cold)
+string(JSON cache_outcomes LENGTH "${status}" cache)
+if(NOT cache_outcomes EQUAL 3)
+    message(FATAL_ERROR "status cache block: expected memory, disk and "
+                        "cold only, in:\n${status}")
+endif()
 expect_field("${status}" "1" plan_cache hits)
 expect_field("${status}" "1" plan_cache misses)
 expect_field("${status}" "2" latency execute_seconds count)
@@ -160,7 +177,7 @@ endif()
 string(REPLACE "\n" ";" err_lines "${err}")
 set(periodic "")
 foreach(line IN LISTS err_lines)
-    string(FIND "${line}" "cmswitch-serve-status-v2" at)
+    string(FIND "${line}" "cmswitch-serve-status-v3" at)
     if(NOT at EQUAL -1)
         list(APPEND periodic "${line}")
     endif()
@@ -249,6 +266,7 @@ execute_process(COMMAND ${CMSWITCHC} serve --connect ${sock}
 if(NOT result EQUAL 0)
     message(FATAL_ERROR "serve client failed (${result}):\n${err}")
 endif()
+expect_no_empty_lines("${out}" "socket session's responses")
 string(REPLACE "\n" ";" lines "${out}")
 
 response_for(g lines resp)
@@ -263,7 +281,7 @@ response_for(i lines resp)
 expect_field("${resp}" "shed" status)
 expect_field("${resp}" "admission" reason)
 response_for(cs lines status)
-expect_field("${status}" "cmswitch-serve-status-v2" schema)
+expect_field("${status}" "cmswitch-serve-status-v3" schema)
 expect_field("${status}" "3" requests received)
 expect_field("${status}" "1" requests admitted)
 expect_field("${status}" "1" requests coalesced)

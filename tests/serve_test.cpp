@@ -4,7 +4,7 @@
  * admission gate (priority-then-FIFO rejection order, deadline expiry
  * while queued — both driven by a fake clock, fully deterministic),
  * the strict wire-protocol parser/resolver, and the ServeEngine's
- * status-v2 report under a fixed hold/release request script
+ * status-v3 report under a fixed hold/release request script
  * (cumulative quantiles on demand, interval deltas only on periodic
  * lines). The two-process socket path is covered by serve_smoke (e2e).
  */
@@ -195,6 +195,22 @@ TEST(ServeProtocol, ResolveFailsOnUnknownNamesWithoutExiting)
     EXPECT_EQ(resolved.compilerId, "cmswitch");
 }
 
+TEST(ServeProtocol, ServingDocExampleParsesAndResolves)
+{
+    // The worked example's decode request from docs/serving.md,
+    // verbatim: the documented wire keys must be the accepted ones.
+    ServeRequest request;
+    std::string error;
+    ASSERT_TRUE(parseServeRequest(
+        R"({"op":"compile","id":"urgent","model":"opt-6.7b","decode":256,"layers":2,"priority":9,"deadline_ms":5000})",
+        &request, &error))
+        << error;
+    EXPECT_EQ(request.decodeKv, 256);
+    EXPECT_EQ(request.layers, 2);
+    CompileRequest resolved;
+    EXPECT_TRUE(resolveServeRequest(request, &resolved, &error)) << error;
+}
+
 /** Collects response lines from an engine (sink runs on worker and
  *  session threads). */
 struct ResponseLog
@@ -205,6 +221,8 @@ struct ResponseLog
     ServeEngine::LineFn sink()
     {
         return [this](const std::string &line) {
+            // One line per response: the transport adds the only '\n'.
+            EXPECT_EQ(line.find('\n'), std::string::npos) << line;
             std::lock_guard<std::mutex> lock(mutex);
             lines.push_back(line);
         };
@@ -256,7 +274,7 @@ intField(const JsonValue &doc, std::initializer_list<const char *> path)
  *   d  low priority, queue full, shed at admission;
  * then release: e expires at pop (shed, never compiled), a compiles
  * cold with b riding, and a later identical f hits the memory cache.
- * Every counter in the status-v2 report is pinned; run twice to show
+ * Every counter in the status-v3 report is pinned; run twice to show
  * the report is deterministic under a fixed script.
  */
 TEST(ServeEngine, StatusReportIsDeterministicUnderFixedScript)
@@ -301,14 +319,14 @@ TEST(ServeEngine, StatusReportIsDeterministicUnderFixedScript)
         JsonValue f = log.forId("f");
         EXPECT_EQ(f.find("cache")->stringValue, "memory");
 
-        // The status-v2 report, every counter pinned. On-demand status
+        // The status-v3 report, every counter pinned. On-demand status
         // is a pure read: cumulative only, no interval block.
         JsonValue status;
         std::string error;
         ASSERT_TRUE(parseJson(engine.statusJson(), &status, &error))
             << error;
         EXPECT_EQ(status.find("schema")->stringValue,
-                  "cmswitch-serve-status-v2");
+                  "cmswitch-serve-status-v3");
         EXPECT_EQ(status.find("interval"), nullptr);
         EXPECT_EQ(intField(status, {"requests", "received"}), 5);
         EXPECT_EQ(intField(status, {"requests", "admitted"}), 3);
@@ -321,8 +339,12 @@ TEST(ServeEngine, StatusReportIsDeterministicUnderFixedScript)
         EXPECT_EQ(intField(status, {"queue", "inflight"}), 0);
         EXPECT_EQ(intField(status, {"cache", "memory"}), 1);
         EXPECT_EQ(intField(status, {"cache", "disk"}), 0);
-        EXPECT_EQ(intField(status, {"cache", "neighbor"}), 0);
         EXPECT_EQ(intField(status, {"cache", "cold"}), 1);
+        std::vector<std::string> outcomes;
+        for (const auto &member : status.find("cache")->members)
+            outcomes.push_back(member.first);
+        EXPECT_EQ(outcomes,
+                  (std::vector<std::string>{"memory", "disk", "cold"}));
         EXPECT_EQ(intField(status, {"plan_cache", "hits"}), 1);
         EXPECT_EQ(intField(status, {"plan_cache", "misses"}), 1);
         // Two compiles ran (a+b share one, f the other): the latency
