@@ -1,10 +1,17 @@
-# CLI smoke test for cmswitchc, run as `cmake -DCMSWITCHC=<exe> -P
-# cli_smoke.cmake` from CTest. Checks exit codes and output shape of the
-# user-facing invocations; any failed check aborts with FATAL_ERROR.
+# CLI smoke test for cmswitchc, run as `cmake -DCMSWITCHC=<exe>
+# -DWORK_DIR=<dir> -P cli_smoke.cmake` from CTest. Checks exit codes and
+# output shape of the user-facing invocations; any failed check aborts
+# with FATAL_ERROR.
 
 if(NOT CMSWITCHC)
     message(FATAL_ERROR "pass -DCMSWITCHC=<path to cmswitchc>")
 endif()
+if(NOT WORK_DIR)
+    message(FATAL_ERROR "pass -DWORK_DIR=<scratch directory>")
+endif()
+
+file(REMOVE_RECURSE ${WORK_DIR})
+file(MAKE_DIRECTORY ${WORK_DIR})
 
 function(expect_exit code)
     # Remaining arguments are the cmswitchc argv.
@@ -53,5 +60,91 @@ expect_exit(0 --model resnet18 --chip dynaplasia --stats)
 expect_contains(last_err "resnet18")
 expect_contains(last_err "cycles")
 expect_contains(last_err "estimated energy")
+
+# --- Usage errors of every subcommand: exit 2, message, --help hint ---
+
+# expect_usage(<message regex> <argv...>)
+function(expect_usage needle)
+    expect_exit(2 ${ARGN})
+    expect_contains(last_err "${needle}")
+    expect_contains(last_err "run 'cmswitchc --help' for usage")
+endfunction()
+
+set(jobs ${WORK_DIR}/jobs.txt)
+file(WRITE ${jobs} "--model resnet18\n")
+set(out_dir ${WORK_DIR}/reports)
+
+expect_usage("batch mode requires --jobs" batch --out-dir ${out_dir})
+expect_usage("batch mode requires --out-dir" batch --jobs ${jobs})
+expect_usage("--jobs needs a value" batch --out-dir ${out_dir} --jobs)
+expect_usage("unknown batch flag '--frobnicate'"
+             batch --jobs ${jobs} --out-dir ${out_dir} --frobnicate)
+
+# A job line takes only the per-compile flags: not --help, and not the
+# outputs, cache, search width or observability, which are batch-level.
+file(WRITE ${WORK_DIR}/help-job.txt "# comment\n--model resnet18 --help\n")
+expect_usage("help-job.txt line 2: unknown flag '--help'"
+             batch --jobs ${WORK_DIR}/help-job.txt --out-dir ${out_dir})
+foreach(flag "--out x" "--emit-json x" "--cache-dir x" "--stats"
+             "--search-threads 2" "--trace x" "--metrics x")
+    file(WRITE ${WORK_DIR}/flag-job.txt "--model resnet18 ${flag}\n")
+    string(REGEX REPLACE " .*" "" name "${flag}")
+    expect_usage("${name}"
+                 batch --jobs ${WORK_DIR}/flag-job.txt --out-dir ${out_dir})
+endforeach()
+if(EXISTS ${out_dir})
+    message(FATAL_ERROR "a rejected batch created ${out_dir}")
+endif()
+
+set(sock ${WORK_DIR}/no-daemon.sock)
+expect_usage("serve --connect requires --script" serve --connect ${sock})
+expect_usage("serve --script only makes sense with --connect"
+             serve --script ${jobs})
+expect_usage("serve --connect \\(client\\) and --socket \\(daemon\\)"
+             serve --connect ${sock} --script ${jobs} --socket ${sock})
+expect_usage("serve --pid-file requires --socket"
+             serve --pid-file ${WORK_DIR}/serve.pid)
+expect_usage("--max-inflight must be >= 1, got 0" serve --max-inflight 0)
+
+expect_usage("sim mode requires --scenario" sim)
+expect_usage("--threads must be >= 1, got 0" sim --threads 0)
+
+set(plans ${WORK_DIR}/plans)
+expect_usage("cache mode requires a verb: gc, stats, or verify" cache)
+expect_usage("unknown cache verb 'frobnicate' \\(expected gc, stats, or verify\\)"
+             cache frobnicate)
+expect_usage("cache gc needs --max-bytes and/or --max-age"
+             cache gc --cache-dir ${plans})
+expect_usage("unknown cache stats flag '--max-bytes'"
+             cache stats --cache-dir ${plans} --max-bytes 1)
+expect_usage("cache verify requires --cache-dir" cache verify)
+if(EXISTS ${plans})
+    message(FATAL_ERROR "a rejected cache command created ${plans}")
+endif()
+
+expect_usage("unknown fingerprint flag '--frobnicate'"
+             fingerprint --frobnicate)
+
+# --help works under every subcommand and prints the one usage text.
+foreach(sub "batch" "serve" "sim" "cache" "cache gc" "cache stats"
+            "cache verify" "fingerprint")
+    separate_arguments(sub_args UNIX_COMMAND "${sub}")
+    expect_exit(0 ${sub_args} --help)
+    expect_contains(last_out "usage: cmswitchc")
+endforeach()
+
+# The usage text names every flag the parser accepts, in any mode.
+expect_exit(0 --help)
+foreach(flag
+        --model --chip --compiler --batch --seq --decode --layers
+        --optimize --out --emit-json --cache-dir --search-threads --stats
+        --trace --metrics --help --version
+        --jobs --out-dir --threads --summary --cache-capacity --job-latency
+        --socket --pid-file --max-inflight --max-queue --status-every
+        --connect --script
+        --scenario
+        --max-bytes --max-age --delete)
+    expect_contains(last_out "${flag}[^-a-z]")
+endforeach()
 
 message(STATUS "cli_smoke: all checks passed")
