@@ -128,34 +128,36 @@ parseServeRequest(const std::string &line, ServeRequest *out,
 }
 
 bool
-resolveServeRequest(const ServeRequest &request, CompileRequest *out,
-                    std::string *error)
+resolveServeChip(const std::string &chip, ChipConfig *out,
+                 std::string *error)
 {
-    if (request.chip == "dynaplasia")
-        out->chip = ChipConfig::dynaplasia();
-    else if (request.chip == "prime")
-        out->chip = ChipConfig::prime();
+    if (chip == "dynaplasia")
+        *out = ChipConfig::dynaplasia();
+    else if (chip == "prime")
+        *out = ChipConfig::prime();
     else
-        return jsonFail(error, "unknown chip '" + request.chip
+        return jsonFail(error, "unknown chip '" + chip
                                    + "' (serve accepts the presets "
                                      "dynaplasia and prime)");
+    return true;
+}
 
-    if (!serveCompilerKnown(request.compiler)) {
-        return jsonFail(error,
-                        "unknown compiler '" + request.compiler + "'");
-    }
-    out->compilerId = request.compiler;
-    out->optimize = request.optimize;
-
+bool
+resolveServeWorkload(const ServeRequest &request, Graph *out,
+                     std::string *error)
+{
     if (serveModelIsTransformer(request.model)) {
         TransformerConfig cfg = transformerConfigByName(request.model);
+        if (request.decodeKv > 0 && !cfg.decoderOnly)
+            return jsonFail(error, "'decode' needs a decoder-only model, "
+                                   "got '" + request.model + "'");
         if (request.layers > 0)
             cfg.layers = request.layers;
-        out->workload =
-            request.decodeKv > 0
-                ? buildTransformerDecodeStep(cfg, request.batch,
-                                             request.decodeKv)
-                : buildTransformerPrefill(cfg, request.batch, request.seq);
+        *out = request.decodeKv > 0
+                   ? buildTransformerDecodeStep(cfg, request.batch,
+                                                request.decodeKv)
+                   : buildTransformerPrefill(cfg, request.batch,
+                                             request.seq);
         return true;
     }
     if (request.decodeKv > 0 || request.layers > 0) {
@@ -163,16 +165,31 @@ resolveServeRequest(const ServeRequest &request, CompileRequest *out,
                                "model, got '" + request.model + "'");
     }
     if (isCnnName(request.model)) {
-        out->workload = buildModelByName(request.model, request.batch);
+        *out = buildModelByName(request.model, request.batch);
         return true;
     }
     if (request.model == "tiny-mlp") {
-        out->workload = buildTinyMlp(request.batch);
+        *out = buildTinyMlp(request.batch);
         return true;
     }
     return jsonFail(error, "unknown model '" + request.model
                                + "' (serve accepts zoo model names and "
                                  "tiny-mlp, not file paths)");
+}
+
+bool
+resolveServeRequest(const ServeRequest &request, CompileRequest *out,
+                    std::string *error)
+{
+    if (!resolveServeChip(request.chip, &out->chip, error))
+        return false;
+    if (!serveCompilerKnown(request.compiler)) {
+        return jsonFail(error,
+                        "unknown compiler '" + request.compiler + "'");
+    }
+    out->compilerId = request.compiler;
+    out->optimize = request.optimize;
+    return resolveServeWorkload(request, &out->workload, error);
 }
 
 std::string

@@ -17,15 +17,14 @@
  * echo the request's "id". Full field tables live in docs/serving.md
  * and docs/schemas.md.
  *
- * The daemon must survive anything a client sends, but the shared
- * resolver helpers (resolveChip, transformerConfigByName, graph/chip
- * file parsers) fatal() on unknown names — correct for a CLI, fatal
- * (literally) for a server. So this layer parses with the non-throwing
- * support/json_parse.hpp and resolves against explicit name tables:
- * zoo models and preset chips only, every failure a per-request error
- * response. File-path models/chips are deliberately not accepted over
- * the wire; that also keeps a remote client from probing the daemon's
- * filesystem.
+ * The daemon must survive anything a client sends, so this layer
+ * parses with the non-throwing support/json_parse.hpp and resolves
+ * against explicit name tables: zoo models and preset chips only, every
+ * failure a per-request error, never a fatal(). It is the one place
+ * those names resolve: the CLI, batch job lines and the simulator use
+ * the same tables. File-path models/chips are deliberately not accepted
+ * over the wire; that also keeps a remote client from probing the
+ * daemon's filesystem.
  */
 
 #ifndef CMSWITCH_SERVICE_SERVE_SERVE_PROTOCOL_HPP
@@ -88,6 +87,16 @@ bool parseServeRequest(const std::string &line, ServeRequest *out,
  */
 bool resolveServeRequest(const ServeRequest &request, CompileRequest *out,
                          std::string *error);
+
+/** @{ The chip and workload halves of resolveServeRequest, with its
+ *  messages (@p error may be null): a preset chip, and the zoo workload
+ *  the request's model, batch, seq, decode and layers describe. The CLI
+ *  calls them for each name that is not a file path. */
+bool resolveServeChip(const std::string &chip, ChipConfig *out,
+                      std::string *error);
+bool resolveServeWorkload(const ServeRequest &request, Graph *out,
+                          std::string *error);
+/** @} */
 
 /** @{ The serve name tables (chip presets, compilers, zoo models +
  *  tiny-mlp), shared with the sim scenario parser so simulated and

@@ -17,8 +17,15 @@
  *   cmswitchc fingerprint             plan fingerprint + algorithm
  *                                     revision table as JSON
  *
- * Flags, defaults and examples live in one place: the kUsage text
- * below, printed by `cmswitchc --help`. Running without arguments
+ * Every mode, and each line of a batch jobs file, parses through one
+ * flag table (flagTable) that says which modes accept each flag; rules
+ * across flags are plain checks in each mode's main. A chip or model
+ * that names an existing file is parsed from it; any other name
+ * resolves through the serve daemon's fatal-free resolver
+ * (serve_protocol.hpp), so every mode accepts the same names.
+ *
+ * Flags, defaults and examples live in the kUsage text below, printed
+ * by `cmswitchc --help` in every mode. Running without arguments
  * prints the same text and exits with status 2, as does any malformed
  * invocation; semantic errors (unknown model/chip) exit 1 via fatal().
  */
@@ -35,14 +42,12 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "arch/chip_parser.hpp"
-#include "baselines/baseline.hpp"
-#include "eval/evaluation.hpp"
 #include "graph/serialize.hpp"
 #include "metaop/printer.hpp"
-#include "metaop/validator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -54,10 +59,9 @@
 #include "service/plan_fingerprint.hpp"
 #include "service/serve/serve_engine.hpp"
 #include "service/serve/serve_io.hpp"
-#include "sim/energy.hpp"
+#include "service/serve/serve_protocol.hpp"
 #include "sim/serving/scenario.hpp"
 #include "sim/serving/simulator.hpp"
-#include "sim/timing.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/strings.hpp"
@@ -82,17 +86,18 @@ Compile a DNN for a dual-mode CIM chip and report the schedule.
 
 Options:
   --model NAME|FILE   zoo model name (vgg16, resnet18, resnet50,
-                      mobilenetv2, bert-base, bert-large, gpt,
-                      llama2-7b, opt-6.7b, opt-13b) or a path to a
-                      textual graph file (graph/serialize.hpp format)
+                      mobilenetv2, tiny-mlp, bert-base, bert-large,
+                      gpt, llama2-7b, opt-6.7b, opt-13b) or a path to
+                      a textual graph file (graph/serialize.hpp format)
   --chip NAME|FILE    dynaplasia (default), prime, or a chip
                       description file (arch/chip_parser.hpp format)
   --compiler NAME     cmswitch (default), cim-mlc, occ, puma
   --batch N           batch size for zoo models (default 1)
   --seq N             sequence length for transformers (default 64)
   --decode N          compile a decode step with kv length N instead
-                      of a prefill pass (decoder-only models)
-  --layers N          override transformer layer count
+                      of a prefill pass (transformer models only)
+  --layers N          override the layer count (transformer models
+                      only)
   --optimize          run the frontend graph passes before compiling
   --out FILE          write the meta-operator program to FILE
   --emit-json FILE    write the machine-readable compile report to
@@ -105,7 +110,8 @@ Options:
                       (default 1). Plans are byte-identical for any
                       value, so this only changes compile time — and
                       cached plans are shared across values
-  --stats             print the latency/energy breakdown only
+  --stats             print only the latency/energy breakdown, not
+                      the program (--out FILE still writes it)
   --trace FILE        record the compile pipeline (frontend passes,
                       segmenter DP phases, allocator probes, solver
                       calls, cache lookups) and write a Chrome
@@ -119,10 +125,11 @@ Options:
   --help              print this message and exit
   --version           print version + plan fingerprint and exit
 
-Batch mode compiles one job per line of the jobs file (each line is a
-list of the single-mode flags above; '#' starts a comment) through a
-worker pool with a shared content-keyed plan cache, writing one JSON
-report per job plus an aggregate summary:
+Batch mode compiles one job per line of the jobs file through a worker
+pool with a shared content-keyed plan cache, writing one JSON report per
+job plus an aggregate summary. A job line takes exactly the per-compile
+flags above (--model, --chip, --compiler, --batch, --seq, --decode,
+--layers, --optimize); '#' starts a comment. Batch flags:
   --jobs FILE            job list (required)
   --out-dir DIR          directory for per-job reports (required)
   --threads N            worker threads (default 1)
@@ -235,39 +242,128 @@ usageError(const std::string &message)
     std::exit(2);
 }
 
-struct CliArgs
+/** Where a flag may appear: one bit per subcommand (one per cache
+ *  verb), plus the bare command line and a batch job line. */
+enum Mode : unsigned
 {
-    std::string model;
-    std::string chip = "dynaplasia";
-    std::string compiler = "cmswitch";
-    s64 batch = 1;
-    s64 seq = 64;
-    s64 decodeKv = 0;
-    s64 layers = 0;
+    kSingle = 1u << 0,
+    kJobLine = 1u << 1,
+    kBatch = 1u << 2,
+    kServe = 1u << 3,
+    kSim = 1u << 4,
+    kCacheGc = 1u << 5,
+    kCacheStats = 1u << 6,
+    kCacheVerify = 1u << 7,
+    kFingerprint = 1u << 8,
+};
+constexpr unsigned kCompile = kSingle | kJobLine;
+constexpr unsigned kCache = kCacheGc | kCacheStats | kCacheVerify;
+
+/** Every mode's flags. A mode reads only the fields its flags set, so
+ *  each default here is the one kUsage documents. */
+struct Options
+{
+    /** The eight per-compile fields (--model through --optimize), in
+     *  the daemon's request type so names resolve the same way. */
+    ServeRequest compile;
     std::string outFile;
     std::string emitJson;
     std::string cacheDir;
     std::string traceFile;
     std::string metricsFile;
+    std::string jobsFile;
+    std::string outDir;
+    std::string summaryFile;
+    std::string socketPath;
+    std::string pidFile;
+    std::string connectPath;
+    std::string scriptFile;
+    std::string scenarioFile;
     s64 searchThreads = 1;
+    s64 threads = 1;
+    s64 cacheCapacity = 256;
+    s64 maxInflight = 1;
+    s64 maxQueue = 16;
+    s64 statusEvery = 0;
+    s64 maxBytes = -1; ///< cache gc bounds; -1 = not given
+    s64 maxAge = -1;
     bool statsOnly = false;
-    bool optimize = false;
+    bool jobLatency = false;
+    bool deleteDamaged = false;
+    bool help = false;
+    bool version = false;
 };
 
-std::string
-readFile(const std::string &path)
+/** One row of the flag table. The target's type is the value kind:
+ *  text, an integer of at least @p min, or a switch. */
+struct Flag
 {
-    std::ifstream in(path);
-    cmswitch_fatal_if(!in, "cannot open ", path);
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
+    const char *name;
+    unsigned modes; ///< Mode bits that accept the flag
+    std::variant<std::string *, s64 *, bool *> target;
+    s64 min = 0;
+};
+
+/** The flag table: every flag of every mode, pointing into @p o. */
+std::vector<Flag>
+flagTable(Options &o)
+{
+    ServeRequest &c = o.compile;
+    constexpr unsigned kSubcommands = kBatch | kServe | kSim | kCache
+                                      | kFingerprint;
+    return {
+        {"--model", kCompile, &c.model},
+        {"--chip", kCompile, &c.chip},
+        {"--compiler", kCompile, &c.compiler},
+        {"--batch", kCompile, &c.batch, 1},
+        {"--seq", kCompile, &c.seq, 1},
+        {"--decode", kCompile, &c.decodeKv, 0}, // 0 = prefill
+        {"--layers", kCompile, &c.layers, 0}, // 0 = zoo's count
+        {"--optimize", kCompile, &c.optimize},
+        {"--out", kSingle | kSim, &o.outFile},
+        {"--emit-json", kSingle, &o.emitJson},
+        {"--stats", kSingle, &o.statsOnly},
+        {"--version", kSingle, &o.version},
+        {"--help", kSingle | kSubcommands, &o.help},
+        {"--cache-dir", kSingle | kBatch | kServe | kCache, &o.cacheDir},
+        {"--search-threads", kSingle | kBatch | kServe | kSim,
+         &o.searchThreads, 1},
+        {"--trace", kSingle | kBatch | kServe, &o.traceFile},
+        {"--metrics", kSingle | kServe, &o.metricsFile},
+        {"--jobs", kBatch, &o.jobsFile},
+        {"--out-dir", kBatch, &o.outDir},
+        {"--summary", kBatch, &o.summaryFile},
+        {"--threads", kBatch | kSim, &o.threads, 1},
+        {"--cache-capacity", kBatch | kServe, &o.cacheCapacity, 1},
+        {"--job-latency", kBatch, &o.jobLatency},
+        {"--socket", kServe, &o.socketPath},
+        {"--pid-file", kServe, &o.pidFile},
+        {"--connect", kServe, &o.connectPath},
+        {"--script", kServe, &o.scriptFile},
+        {"--max-inflight", kServe, &o.maxInflight, 1},
+        {"--max-queue", kServe, &o.maxQueue, 1},
+        {"--status-every", kServe, &o.statusEvery, 0},
+        {"--scenario", kSim, &o.scenarioFile},
+        {"--max-bytes", kCacheGc, &o.maxBytes, 0},
+        {"--max-age", kCacheGc, &o.maxAge, 0},
+        {"--delete", kCacheVerify, &o.deleteDamaged},
+    };
 }
 
-bool
-fileExists(const std::string &path)
+/** How an unknown-flag error names @p mode: "unknown <words>flag". */
+const char *
+modeWords(Mode mode)
 {
-    return static_cast<bool>(std::ifstream(path));
+    switch (mode) {
+    case kBatch: return "batch ";
+    case kServe: return "serve ";
+    case kSim: return "sim ";
+    case kCacheGc: return "cache gc ";
+    case kCacheStats: return "cache stats ";
+    case kCacheVerify: return "cache verify ";
+    case kFingerprint: return "fingerprint ";
+    default: return ""; // the command line and job lines
+    }
 }
 
 /** "<context>: <msg>", or just @p msg for the bare command line. */
@@ -278,7 +374,7 @@ inContext(const std::string &context, const std::string &msg)
 }
 
 /** Parse @p value as an integer >= @p min_value; usage error naming
- *  @p flag (and @p context) otherwise. Shared by every flag parser. */
+ *  @p flag (and @p context) otherwise. */
 s64
 parseIntToken(const std::string &flag, const std::string &value,
               s64 min_value, const std::string &context)
@@ -302,129 +398,111 @@ parseIntToken(const std::string &flag, const std::string &value,
 }
 
 /**
- * Parse single-mode flags from @p tokens. @p context names the source
- * in errors ("" for the command line, "jobs file line N" for batch).
+ * Parse @p tokens as @p mode's flags. @p context names the source in
+ * errors ("" for the command line, "<file> line N" for a job line).
+ * --help and --version act as soon as they are read.
  */
-CliArgs
-parseFlags(const std::vector<std::string> &tokens, const std::string &context)
+Options
+parseArgs(Mode mode, const std::vector<std::string> &tokens,
+          const std::string &context)
 {
-    CliArgs args;
-    auto where = [&](const std::string &msg) {
-        return inContext(context, msg);
-    };
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        const std::string &flag = tokens[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= tokens.size())
-                usageError(where(flag + " needs a value"));
-            return tokens[++i];
-        };
-        auto nextInt = [&](s64 min_value) -> s64 {
-            return parseIntToken(flag, next(), min_value, context);
-        };
-        if (flag == "--model")
-            args.model = next();
-        else if (flag == "--chip")
-            args.chip = next();
-        else if (flag == "--compiler")
-            args.compiler = next();
-        else if (flag == "--batch")
-            args.batch = nextInt(1);
-        else if (flag == "--seq")
-            args.seq = nextInt(1);
-        else if (flag == "--decode")
-            args.decodeKv = nextInt(0); // 0 == prefill, same as the default
-        else if (flag == "--layers")
-            args.layers = nextInt(0); // 0 == keep the zoo's layer count
-        else if (flag == "--out")
-            args.outFile = next();
-        else if (flag == "--emit-json")
-            args.emitJson = next();
-        else if (flag == "--cache-dir")
-            args.cacheDir = next();
-        else if (flag == "--trace")
-            args.traceFile = next();
-        else if (flag == "--metrics")
-            args.metricsFile = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
-        else if (flag == "--stats")
-            args.statsOnly = true;
-        else if (flag == "--optimize")
-            args.optimize = true;
-        else if (flag == "--help" && context.empty()) {
-            std::cout << kUsage;
-            std::exit(0);
-        } else if (flag == "--version" && context.empty()) {
-            std::cout << "cmswitchc " << CMSWITCH_VERSION << "\n"
-                      << "plan fingerprint " << buildFingerprintHex()
-                      << "\n";
-            std::exit(0);
-        } else {
-            usageError(where("unknown flag '" + flag + "'"));
+    Options opts;
+    const std::vector<Flag> table = flagTable(opts);
+    for (std::size_t i = 0;
+         i < tokens.size() && !opts.help && !opts.version; ++i) {
+        const std::string &name = tokens[i];
+        auto row = std::find_if(table.begin(), table.end(),
+                                [&](const Flag &flag) {
+                                    return (flag.modes & mode)
+                                        && name == flag.name;
+                                });
+        if (row == table.end())
+            usageError(inContext(context, concat("unknown ",
+                                                 modeWords(mode), "flag '",
+                                                 name, "'")));
+        if (bool *const *on = std::get_if<bool *>(&row->target)) {
+            **on = true;
+            continue;
         }
+        if (i + 1 >= tokens.size())
+            usageError(inContext(context, name + " needs a value"));
+        const std::string &value = tokens[++i];
+        if (std::string *const *text =
+                std::get_if<std::string *>(&row->target))
+            **text = value;
+        else
+            *std::get<s64 *>(row->target) =
+                parseIntToken(name, value, row->min, context);
     }
-    if (args.model.empty())
-        usageError(where("--model is required"));
-    return args;
+    if (opts.help) {
+        std::cout << kUsage;
+        std::exit(0);
+    }
+    if (opts.version) {
+        std::cout << "cmswitchc " << CMSWITCH_VERSION << "\n"
+                  << "plan fingerprint " << buildFingerprintHex() << "\n";
+        std::exit(0);
+    }
+    if ((mode & kCompile) && opts.compile.model.empty())
+        usageError(inContext(context, "--model is required"));
+    return opts;
 }
 
-CliArgs
-parseCli(int argc, char **argv)
+std::string
+readFile(const std::string &path)
 {
-    if (argc <= 1) {
-        std::cerr << kUsage;
-        std::exit(2);
-    }
-    std::vector<std::string> tokens(argv + 1, argv + argc);
-    return parseFlags(tokens, "");
-}
-
-ChipConfig
-resolveChip(const std::string &name)
-{
-    if (name == "dynaplasia")
-        return ChipConfig::dynaplasia();
-    if (name == "prime")
-        return ChipConfig::prime();
-    if (fileExists(name))
-        return parseChipConfig(readFile(name));
-    cmswitch_fatal("unknown chip '", name, "' (not a preset, not a file)");
+    std::ifstream in(path);
+    cmswitch_fatal_if(!in, "cannot open ", path);
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
 }
 
 bool
-isCnnZooName(const std::string &name)
+fileExists(const std::string &path)
 {
-    return name == "vgg16" || name == "resnet18" || name == "resnet50"
-        || name == "mobilenetv2";
+    return static_cast<bool>(std::ifstream(path));
 }
 
-/** Build a model-zoo workload (@p args.model is NOT a file path). The
- *  only fatal() here is an unknown transformer name — callers that run
- *  off the main thread must have name-checked first. */
-Graph
-buildZooModel(const CliArgs &args)
+/** The chip @p name: a chip file, else a preset. */
+ChipConfig
+resolveChip(const std::string &name, const std::string &context)
 {
-    if (args.decodeKv > 0) {
-        TransformerConfig cfg = transformerConfigByName(args.model);
-        if (args.layers > 0)
-            cfg.layers = args.layers;
-        return buildTransformerDecodeStep(cfg, args.batch, args.decodeKv);
+    if (fileExists(name))
+        return parseChipConfig(readFile(name));
+    ChipConfig chip;
+    cmswitch_fatal_if(!resolveServeChip(name, &chip, nullptr),
+                      inContext(context, concat("unknown chip '", name,
+                                                "' (not a preset, not a "
+                                                "file)")));
+    return chip;
+}
+
+/**
+ * Fill @p out from @p compile, except a zoo workload: then return
+ * false, leaving it to the fatal-free resolveServeWorkload. Everything
+ * that may fatal() is here — unknown names (reported with @p context)
+ * and the graph-file parser — so it runs on the main thread.
+ */
+bool
+prepareRequest(const ServeRequest &compile, const std::string &context,
+               CompileRequest *out)
+{
+    cmswitch_fatal_if(!serveCompilerKnown(compile.compiler),
+                      inContext(context, concat("unknown compiler '",
+                                                compile.compiler, "'")));
+    out->compilerId = compile.compiler;
+    out->optimize = compile.optimize;
+    if (fileExists(compile.model)) {
+        out->workload = parseGraph(readFile(compile.model));
+        return true;
     }
-    if (isCnnZooName(args.model))
-        return buildModelByName(args.model, args.batch);
-    TransformerConfig cfg = transformerConfigByName(args.model);
-    if (args.layers > 0)
-        cfg.layers = args.layers;
-    return buildTransformerPrefill(cfg, args.batch, args.seq);
-}
-
-Graph
-resolveModel(const CliArgs &args)
-{
-    if (fileExists(args.model))
-        return parseGraph(readFile(args.model));
-    return buildZooModel(args);
+    cmswitch_fatal_if(!serveModelKnown(compile.model),
+                      inContext(context, concat("unknown model '",
+                                                compile.model,
+                                                "' (not a zoo name, not a "
+                                                "file)")));
+    return false;
 }
 
 void
@@ -455,19 +533,18 @@ sanitizeToken(const std::string &text)
 /**
  * Owns a --trace/--metrics observability session: installs the
  * registry/recorder pair into the process-wide obs hooks for the
- * duration of the compile, then writes the requested files. When
- * neither flag is given nothing is installed and every obs:: call in
- * the pipeline stays a single disabled-branch.
+ * duration of the run, then writes the requested files. When neither
+ * a trace nor metrics are asked for nothing is installed and every
+ * obs:: call in the pipeline stays a single disabled-branch.
  */
 struct ObsSession
 {
     std::unique_ptr<obs::MetricsRegistry> registry;
     std::unique_ptr<obs::TraceRecorder> recorder;
 
-    void start(const std::string &trace_file,
-               const std::string &metrics_file)
+    void start(const std::string &trace_file, bool metrics)
     {
-        if (trace_file.empty() && metrics_file.empty())
+        if (trace_file.empty() && !metrics)
             return;
         registry = std::make_unique<obs::MetricsRegistry>();
         if (!trace_file.empty()) {
@@ -503,21 +580,21 @@ struct ObsSession
 };
 
 int
-singleMain(int argc, char **argv)
+singleMain(const Options &args)
 {
-    CliArgs args = parseCli(argc, argv);
     ObsSession session;
-    session.start(args.traceFile, args.metricsFile);
+    session.start(args.traceFile, !args.metricsFile.empty());
     obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     // The passes run inside compileArtifact (driven by request.optimize)
     // so a single-mode compile and the identical batch job line hash to
     // the same request key.
     CompileRequest request;
-    request.chip = resolveChip(args.chip);
-    request.workload = resolveModel(args);
-    request.compilerId = args.compiler;
-    request.optimize = args.optimize;
+    request.chip = resolveChip(args.compile.chip, "");
+    std::string error;
+    if (!prepareRequest(args.compile, "", &request)
+        && !resolveServeWorkload(args.compile, &request.workload, &error))
+        cmswitch_fatal(error);
     request.searchThreads = args.searchThreads;
 
     ArtifactPtr artifact;
@@ -547,7 +624,7 @@ singleMain(int argc, char **argv)
         std::chrono::duration<double>(std::chrono::steady_clock::now()
                                       - executeStart)
             .count();
-    if (args.optimize) {
+    if (args.compile.optimize) {
         std::cerr << "cmswitchc: frontend passes removed "
                   << artifact->passStats.removedOps << " op(s)\n";
     }
@@ -588,15 +665,13 @@ singleMain(int argc, char **argv)
                   << "\n";
     }
 
-    if (!args.statsOnly) {
-        std::string text = printProgram(result.program);
-        if (args.outFile.empty()) {
-            std::cout << text;
-        } else {
-            writeTextFile(args.outFile, text);
-            std::cerr << "cmswitchc: program written to " << args.outFile
-                      << "\n";
-        }
+    // --stats drops only the stdout dump; --out still writes the file.
+    if (!args.outFile.empty()) {
+        writeTextFile(args.outFile, printProgram(result.program));
+        std::cerr << "cmswitchc: program written to " << args.outFile
+                  << "\n";
+    } else if (!args.statsOnly) {
+        std::cout << printProgram(result.program);
     }
     return 0;
 }
@@ -604,11 +679,12 @@ singleMain(int argc, char **argv)
 /** One parsed batch job: the request plus report bookkeeping. */
 struct BatchJob
 {
-    CliArgs cliArgs;        ///< parsed flags; resolveJobs() turns them
-                            ///< into the request
-    CompileRequest request;
+    ServeRequest compile;   ///< the job line's per-compile flags
+    std::string context;    ///< "<jobs file> line N", for errors
+    CompileRequest request; ///< resolveJobs() fills it from compile
     std::string key;
     std::string reportFile;
+    std::string error;          ///< resolveServeWorkload's, if it failed
     bool graphResolved = false; ///< workload already built (file models)
     bool expectHit = false; ///< key already submitted by an earlier job
 };
@@ -616,134 +692,54 @@ struct BatchJob
 /**
  * Resolve every job's chip + workload graph and request key, spreading
  * the expensive part — zoo graph construction and request hashing —
- * over up to @p threads worker threads.
+ * over up to @p threads threads, the calling one included.
  *
- * Everything that can fatal() on user error stays on the main thread:
  * fatal() calls std::exit, and exiting from a worker while its
- * siblings run would tear down static state under them. So the serial
- * prologue resolves every unique chip once (memoized — also skipping
- * repeated chip-file parsing), parses file-based model graphs, and
- * name-checks zoo models; workers then only run buildZooModel on
- * validated names (never re-probing the filesystem, so a file
- * appearing mid-run cannot reroute them onto a fatal() path) plus
- * requestKey hashing. Each job is independent and deterministic, so
- * the parallel fill is observationally identical to a serial loop —
- * only faster for long job lists.
+ * siblings run would tear down static state under them. So a serial
+ * prologue does everything that can fatal(): each unique chip once
+ * (memoized), then prepareRequest. Workers only run the fatal-free
+ * resolveServeWorkload (never re-probing the filesystem) and
+ * requestKey, and the first failed job is reported after the join.
+ * Jobs are independent and deterministic, so the result equals a
+ * serial loop's.
  */
 void
 resolveJobs(std::vector<BatchJob> *jobs, s64 threads)
 {
     std::map<std::string, ChipConfig> chips;
     for (BatchJob &job : *jobs) {
-        auto [it, inserted] = chips.try_emplace(job.cliArgs.chip);
+        auto [it, inserted] = chips.try_emplace(job.compile.chip);
         if (inserted)
-            it->second = resolveChip(job.cliArgs.chip);
+            it->second = resolveChip(job.compile.chip, job.context);
         job.request.chip = it->second;
-        job.request.compilerId = job.cliArgs.compiler;
-        job.request.optimize = job.cliArgs.optimize;
-        if (fileExists(job.cliArgs.model)) {
-            job.request.workload = resolveModel(job.cliArgs);
-            job.graphResolved = true;
-        } else if (job.cliArgs.decodeKv > 0
-                   || !isCnnZooName(job.cliArgs.model)) {
-            // Cheap name validation; fatals here, not in a worker.
-            transformerConfigByName(job.cliArgs.model);
-        }
+        job.graphResolved =
+            prepareRequest(job.compile, job.context, &job.request);
     }
 
-    auto resolveOne = [](BatchJob &job) {
-        if (!job.graphResolved)
-            job.request.workload = buildZooModel(job.cliArgs);
-        job.key = requestKey(job.request);
-    };
-
-    s64 workers = std::min(threads, static_cast<s64>(jobs->size()));
-    if (workers <= 1) {
-        for (BatchJob &job : *jobs)
-            resolveOne(job);
-        return;
-    }
     std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t k = next++; k < jobs->size(); k = next++) {
+            BatchJob &job = (*jobs)[k];
+            if (job.graphResolved
+                || resolveServeWorkload(job.compile, &job.request.workload,
+                                        &job.error))
+                job.key = requestKey(job.request);
+        }
+    };
+    s64 workers = std::min(threads, static_cast<s64>(jobs->size()));
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (s64 i = 0; i < workers; ++i) {
-        pool.emplace_back([&] {
-            for (;;) {
-                std::size_t index = next.fetch_add(1);
-                if (index >= jobs->size())
-                    return;
-                resolveOne((*jobs)[index]);
-            }
-        });
-    }
+    for (s64 i = 1; i < workers; ++i) // the caller is the last worker
+        pool.emplace_back(work);
+    work();
     for (std::thread &worker : pool)
         worker.join();
-}
 
-struct BatchArgs
-{
-    std::string jobsFile;
-    std::string outDir;
-    std::string summaryFile;
-    std::string cacheDir;
-    std::string traceFile;
-    s64 threads = 1;
-    s64 cacheCapacity = 256;
-    s64 searchThreads = 1;
-    bool jobLatency = false;
-};
-
-BatchArgs
-parseBatchArgs(int argc, char **argv)
-{
-    BatchArgs args;
-    for (int i = 2; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError(flag + " needs a value");
-            return argv[++i];
-        };
-        auto nextInt = [&](s64 min_value) -> s64 {
-            return parseIntToken(flag, next(), min_value, "");
-        };
-        if (flag == "--jobs")
-            args.jobsFile = next();
-        else if (flag == "--out-dir")
-            args.outDir = next();
-        else if (flag == "--summary")
-            args.summaryFile = next();
-        else if (flag == "--threads")
-            args.threads = nextInt(1);
-        else if (flag == "--cache-capacity")
-            args.cacheCapacity = nextInt(1);
-        else if (flag == "--cache-dir")
-            args.cacheDir = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
-        else if (flag == "--trace")
-            args.traceFile = next();
-        else if (flag == "--job-latency")
-            args.jobLatency = true;
-        else if (flag == "--help") {
-            std::cout << kUsage;
-            std::exit(0);
-        } else {
-            usageError("unknown batch flag '" + flag + "'");
-        }
-    }
-    if (args.jobsFile.empty())
-        usageError("batch mode requires --jobs");
-    if (args.outDir.empty())
-        usageError("batch mode requires --out-dir");
-    if (args.summaryFile.empty())
-        args.summaryFile = (std::filesystem::path(args.outDir)
-                            / "summary.json").string();
-    return args;
+    for (const BatchJob &job : *jobs)
+        cmswitch_fatal_if(!job.error.empty(), job.context, ": ", job.error);
 }
 
 std::vector<BatchJob>
-parseJobs(const BatchArgs &batch)
+parseJobs(const Options &batch)
 {
     std::vector<BatchJob> jobs;
     std::istringstream iss(readFile(batch.jobsFile));
@@ -762,27 +758,15 @@ parseJobs(const BatchArgs &batch)
         while (ls >> tok)
             tokens.push_back(tok);
 
-        std::string context =
-            batch.jobsFile + " line " + std::to_string(line_no);
-        CliArgs args = parseFlags(tokens, context);
-        if (!args.outFile.empty() || !args.emitJson.empty()
-            || !args.cacheDir.empty() || args.statsOnly
-            || args.searchThreads != 1 || !args.traceFile.empty()
-            || !args.metricsFile.empty()) {
-            usageError(context + ": --out/--emit-json/--cache-dir/--stats/"
-                       "--search-threads/--trace/--metrics are not valid "
-                       "in batch jobs (reports go to --out-dir; the "
-                       "cache, search width and trace are batch-level)");
-        }
-
         BatchJob job;
-        job.cliArgs = args;
+        job.context = batch.jobsFile + " line " + std::to_string(line_no);
+        job.compile = parseArgs(kJobLine, tokens, job.context).compile;
 
         std::ostringstream name;
         name << "job" << std::setw(3) << std::setfill('0') << jobs.size()
-             << "_" << sanitizeToken(args.model) << "_"
-             << sanitizeToken(args.chip) << "_"
-             << sanitizeToken(args.compiler) << ".json";
+             << "_" << sanitizeToken(job.compile.model) << "_"
+             << sanitizeToken(job.compile.chip) << "_"
+             << sanitizeToken(job.compile.compiler) << ".json";
         job.reportFile = name.str();
         jobs.push_back(std::move(job));
     }
@@ -805,22 +789,24 @@ parseJobs(const BatchArgs &batch)
 }
 
 int
-batchMain(int argc, char **argv)
+batchMain(Options batch)
 {
-    BatchArgs batch = parseBatchArgs(argc, argv);
+    if (batch.jobsFile.empty())
+        usageError("batch mode requires --jobs");
+    if (batch.outDir.empty())
+        usageError("batch mode requires --out-dir");
+    if (batch.summaryFile.empty())
+        batch.summaryFile = (std::filesystem::path(batch.outDir)
+                             / "summary.json").string();
     std::vector<BatchJob> jobs = parseJobs(batch);
     std::filesystem::create_directories(batch.outDir);
 
     // Metrics are always on in batch mode — the summary's latency
     // quantiles come from them. Declared before the service so workers
     // never outlive the registry; tracing stays opt-in (--trace).
-    obs::MetricsRegistry registry;
-    std::unique_ptr<obs::TraceRecorder> recorder;
-    if (!batch.traceFile.empty()) {
-        recorder = std::make_unique<obs::TraceRecorder>();
-        recorder->setThreadName("main");
-    }
-    obs::install(&registry, recorder.get());
+    ObsSession session;
+    session.start(batch.traceFile, /*metrics=*/true);
+    obs::MetricsRegistry &registry = *session.registry;
     obs::setGauge(obs::Gau::kServiceThreads, batch.threads);
     obs::setGauge(obs::Gau::kSearchThreads, batch.searchThreads);
 
@@ -848,8 +834,8 @@ batchMain(int argc, char **argv)
         ArtifactPtr artifact = futures[k].get();
         if (!artifact->validation.ok()) {
             ++invalid;
-            warn("batch job ", k, " (", jobs[k].cliArgs.model, " / ",
-                 jobs[k].cliArgs.chip, " / ", jobs[k].cliArgs.compiler,
+            warn("batch job ", k, " (", jobs[k].compile.model, " / ",
+                 jobs[k].compile.chip, " / ", jobs[k].compile.compiler,
                  ") failed validation:\n",
                  artifact->validation.summary());
         }
@@ -866,15 +852,7 @@ batchMain(int argc, char **argv)
     // Every future is drained, so the workers are idle: stop observing
     // before reading the registry for the summary. Late stragglers
     // (none expected) would see the disabled branch, not a torn write.
-    obs::uninstall();
-    if (recorder) {
-        writeTextFile(batch.traceFile, recorder->exportJson());
-        std::cerr << "cmswitchc: trace written to " << batch.traceFile
-                  << " (" << recorder->eventCount() << " event(s)";
-        if (recorder->droppedEvents() > 0)
-            std::cerr << ", " << recorder->droppedEvents() << " dropped";
-        std::cerr << ")\n";
-    }
+    session.finish(batch.traceFile, "");
 
     CompileServiceStats stats = service.stats();
     // Lifetime totals across every process that ever used this
@@ -929,9 +907,9 @@ batchMain(int argc, char **argv)
             .field("index", static_cast<s64>(k))
             .field("report", jobs[k].reportFile)
             .field("key", jobs[k].key)
-            .field("model", jobs[k].cliArgs.model)
-            .field("chip", jobs[k].cliArgs.chip)
-            .field("compiler", jobs[k].cliArgs.compiler)
+            .field("model", jobs[k].compile.model)
+            .field("chip", jobs[k].compile.chip)
+            .field("compiler", jobs[k].compile.compiler)
             // First submission of a key compiles, repeats hit the plan
             // cache — derived from submission order, so deterministic
             // under any thread count. If --cache-capacity is smaller
@@ -957,67 +935,12 @@ batchMain(int argc, char **argv)
     return invalid == 0 ? 0 : 1;
 }
 
-struct ServeArgs
+/** `cmswitchc serve`: the long-lived compile daemon (docs/serving.md),
+ *  or — with --connect — the script-driven client that tests and
+ *  operators use to talk to one. */
+int
+serveMain(const Options &args)
 {
-    std::string socketPath;
-    std::string pidFile;
-    std::string connectPath;
-    std::string scriptFile;
-    std::string cacheDir;
-    std::string traceFile;
-    std::string metricsFile;
-    s64 maxInflight = 1;
-    s64 maxQueue = 16;
-    s64 statusEvery = 0;
-    s64 cacheCapacity = 256;
-    s64 searchThreads = 1;
-};
-
-ServeArgs
-parseServeArgs(int argc, char **argv)
-{
-    ServeArgs args;
-    for (int i = 2; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError(flag + " needs a value");
-            return argv[++i];
-        };
-        auto nextInt = [&](s64 min_value) -> s64 {
-            return parseIntToken(flag, next(), min_value, "");
-        };
-        if (flag == "--socket")
-            args.socketPath = next();
-        else if (flag == "--pid-file")
-            args.pidFile = next();
-        else if (flag == "--connect")
-            args.connectPath = next();
-        else if (flag == "--script")
-            args.scriptFile = next();
-        else if (flag == "--max-inflight")
-            args.maxInflight = nextInt(1);
-        else if (flag == "--max-queue")
-            args.maxQueue = nextInt(1);
-        else if (flag == "--status-every")
-            args.statusEvery = nextInt(0);
-        else if (flag == "--cache-capacity")
-            args.cacheCapacity = nextInt(1);
-        else if (flag == "--cache-dir")
-            args.cacheDir = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
-        else if (flag == "--trace")
-            args.traceFile = next();
-        else if (flag == "--metrics")
-            args.metricsFile = next();
-        else if (flag == "--help") {
-            std::cout << kUsage;
-            std::exit(0);
-        } else {
-            usageError("unknown serve flag '" + flag + "'");
-        }
-    }
     if (!args.connectPath.empty() && args.scriptFile.empty())
         usageError("serve --connect requires --script");
     if (args.connectPath.empty() && !args.scriptFile.empty())
@@ -1027,22 +950,12 @@ parseServeArgs(int argc, char **argv)
                    "mutually exclusive");
     if (!args.pidFile.empty() && args.socketPath.empty())
         usageError("serve --pid-file requires --socket");
-    return args;
-}
-
-/** `cmswitchc serve`: the long-lived compile daemon (docs/serving.md),
- *  or — with --connect — the script-driven client that tests and
- *  operators use to talk to one. */
-int
-serveMain(int argc, char **argv)
-{
-    ServeArgs args = parseServeArgs(argc, argv);
     if (!args.connectPath.empty())
         return runServeClient(args.connectPath, args.scriptFile);
 
     installServeSignalHandlers();
     ObsSession session;
-    session.start(args.traceFile, args.metricsFile);
+    session.start(args.traceFile, !args.metricsFile.empty());
     obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     int exitCode = 0;
@@ -1079,11 +992,11 @@ serveMain(int argc, char **argv)
  *  warnings), so CI steps and scripts can pipe straight into a JSON
  *  parser. */
 int
-cacheMain(int argc, char **argv)
+cacheMain(const std::vector<std::string> &tokens)
 {
-    if (argc <= 2)
+    if (tokens.empty())
         usageError("cache mode requires a verb: gc, stats, or verify");
-    std::string verb = argv[2];
+    const std::string &verb = tokens[0];
     if (verb == "--help") {
         std::cout << kUsage;
         return 0;
@@ -1091,42 +1004,21 @@ cacheMain(int argc, char **argv)
     if (verb != "gc" && verb != "stats" && verb != "verify")
         usageError("unknown cache verb '" + verb
                    + "' (expected gc, stats, or verify)");
-
-    std::string dir;
-    s64 max_bytes = -1;
-    s64 max_age = -1;
-    bool remove_damaged = false;
-    for (int i = 3; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError(flag + " needs a value");
-            return argv[++i];
-        };
-        if (flag == "--cache-dir")
-            dir = next();
-        else if (flag == "--max-bytes" && verb == "gc")
-            max_bytes = parseIntToken(flag, next(), 0, "");
-        else if (flag == "--max-age" && verb == "gc")
-            max_age = parseIntToken(flag, next(), 0, "");
-        else if (flag == "--delete" && verb == "verify")
-            remove_damaged = true;
-        else if (flag == "--help") {
-            std::cout << kUsage;
-            return 0;
-        } else {
-            usageError("unknown cache " + verb + " flag '" + flag + "'");
-        }
-    }
+    Options args = parseArgs(verb == "gc"      ? kCacheGc
+                             : verb == "stats" ? kCacheStats
+                                               : kCacheVerify,
+                             {tokens.begin() + 1, tokens.end()}, "");
+    const std::string &dir = args.cacheDir;
     if (dir.empty())
         usageError("cache " + verb + " requires --cache-dir");
 
     JsonWriter w;
     if (verb == "gc") {
-        if (max_bytes < 0 && max_age < 0)
+        if (args.maxBytes < 0 && args.maxAge < 0)
             usageError("cache gc needs --max-bytes and/or --max-age "
                        "(otherwise there is nothing to collect)");
-        CacheGcReport report = gcPlanCache({dir, max_bytes, max_age});
+        CacheGcReport report =
+            gcPlanCache({dir, args.maxBytes, args.maxAge});
         report.writeJson(w);
         std::cout << w.str() << "\n";
         std::cerr << "cmswitchc: cache gc deleted " << report.deletedFiles
@@ -1140,7 +1032,7 @@ cacheMain(int argc, char **argv)
         std::cout << w.str() << "\n";
         return 0;
     }
-    CacheVerifyReport report = verifyPlanCache({dir, remove_damaged});
+    CacheVerifyReport report = verifyPlanCache({dir, args.deleteDamaged});
     report.writeJson(w);
     std::cout << w.str() << "\n";
     std::cerr << "cmswitchc: cache verify found " << report.damagedFiles
@@ -1154,16 +1046,8 @@ cacheMain(int argc, char **argv)
  *  hashes, as JSON on stdout — so scripts can tell whether two builds
  *  share plan caches without compiling anything. */
 int
-fingerprintMain(int argc, char **argv)
+fingerprintMain()
 {
-    for (int i = 2; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--help") {
-            std::cout << kUsage;
-            return 0;
-        }
-        usageError("unknown fingerprint flag '" + flag + "'");
-    }
     std::string plan_format(kPlanFormatTag);
     if (!plan_format.empty() && plan_format.back() == '\n')
         plan_format.pop_back();
@@ -1190,57 +1074,30 @@ fingerprintMain(int argc, char **argv)
  *  errors exit 1 with a message (they are semantic, not usage); the
  *  report goes to --out or stdout, a one-line summary to stderr. */
 int
-simMain(int argc, char **argv)
+simMain(const Options &args)
 {
-    std::string scenario_file;
-    std::string out_file;
-    s64 threads = 1;
-    s64 search_threads = 1;
-    for (int i = 2; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usageError(flag + " needs a value");
-            return argv[++i];
-        };
-        if (flag == "--scenario")
-            scenario_file = next();
-        else if (flag == "--out")
-            out_file = next();
-        else if (flag == "--threads")
-            threads = parseIntToken(flag, next(), 1, "");
-        else if (flag == "--search-threads")
-            search_threads = parseIntToken(flag, next(), 1, "");
-        else if (flag == "--help") {
-            std::cout << kUsage;
-            return 0;
-        } else {
-            usageError("unknown sim flag '" + flag + "'");
-        }
-    }
-    if (scenario_file.empty())
+    if (args.scenarioFile.empty())
         usageError("sim mode requires --scenario");
-
     SimScenario scenario;
     std::string error;
-    if (!parseSimScenario(readFile(scenario_file), &scenario, &error)) {
-        std::cerr << "cmswitchc: sim: bad scenario '" << scenario_file
+    if (!parseSimScenario(readFile(args.scenarioFile), &scenario, &error)) {
+        std::cerr << "cmswitchc: sim: bad scenario '" << args.scenarioFile
                   << "': " << error << "\n";
         return 1;
     }
     ServingSimOptions options;
-    options.compileThreads = threads;
-    options.searchThreads = search_threads;
+    options.compileThreads = args.threads;
+    options.searchThreads = args.searchThreads;
     SimResult result;
     if (!runServingSimulation(scenario, options, &result, &error)) {
         std::cerr << "cmswitchc: sim: " << error << "\n";
         return 1;
     }
     std::string report = renderSimReport(scenario, result);
-    if (out_file.empty())
+    if (args.outFile.empty())
         std::cout << report << "\n";
     else
-        writeTextFile(out_file, report + "\n");
+        writeTextFile(args.outFile, report + "\n");
     std::cerr << "cmswitchc: sim '" << scenario.name << "': "
               << result.arrived << " arrived, " << result.completed
               << " completed, "
@@ -1256,17 +1113,25 @@ simMain(int argc, char **argv)
 int
 cliMain(int argc, char **argv)
 {
-    if (argc > 1 && std::string(argv[1]) == "batch")
-        return batchMain(argc, argv);
-    if (argc > 1 && std::string(argv[1]) == "serve")
-        return serveMain(argc, argv);
-    if (argc > 1 && std::string(argv[1]) == "sim")
-        return simMain(argc, argv);
-    if (argc > 1 && std::string(argv[1]) == "cache")
-        return cacheMain(argc, argv);
-    if (argc > 1 && std::string(argv[1]) == "fingerprint")
-        return fingerprintMain(argc, argv);
-    return singleMain(argc, argv);
+    if (argc <= 1) {
+        std::cerr << kUsage;
+        return 2;
+    }
+    const std::string subcommand = argv[1];
+    const std::vector<std::string> rest(argv + 2, argv + argc);
+    if (subcommand == "batch")
+        return batchMain(parseArgs(kBatch, rest, ""));
+    if (subcommand == "serve")
+        return serveMain(parseArgs(kServe, rest, ""));
+    if (subcommand == "sim")
+        return simMain(parseArgs(kSim, rest, ""));
+    if (subcommand == "cache")
+        return cacheMain(rest);
+    if (subcommand == "fingerprint") {
+        parseArgs(kFingerprint, rest, "");
+        return fingerprintMain();
+    }
+    return singleMain(parseArgs(kSingle, {argv + 1, argv + argc}, ""));
 }
 
 } // namespace cmswitch

@@ -147,4 +147,50 @@ foreach(flag
     expect_contains(last_out "${flag}[^-a-z]")
 endforeach()
 
+# --- --stats drops only the stdout dump; --out still writes ---------
+
+expect_exit(0 --model resnet18 --out ${WORK_DIR}/plain.cmprog)
+expect_exit(0 --model resnet18 --stats --out ${WORK_DIR}/stats.cmprog)
+if(NOT last_out STREQUAL "")
+    message(FATAL_ERROR "--stats --out printed the program:\n${last_out}")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORK_DIR}/plain.cmprog ${WORK_DIR}/stats.cmprog
+                RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+    message(FATAL_ERROR "--stats --out wrote no program, or another one")
+endif()
+
+# --- Names resolve as the serve daemon resolves them ------------------
+
+expect_exit(1 --model resnet18 --layers 3 --out ${WORK_DIR}/layers.cmprog)
+expect_contains(last_err "'decode'/'layers' need a transformer model")
+expect_exit(1 --model resnet18 --decode 4 --stats)
+expect_contains(last_err "'decode'/'layers' need a transformer model")
+expect_exit(1 --model no-such-model --stats)
+expect_contains(last_err "unknown model 'no-such-model'")
+expect_exit(0 --model tiny-mlp --stats)
+expect_contains(last_err "tinymlp")
+expect_exit(0 --help)
+expect_contains(last_out "tiny-mlp")
+
+# A job line's names are checked on the main thread and reported with
+# its line number; its zoo workload builds on the worker threads, which
+# report a failure instead of exiting.
+file(WRITE ${WORK_DIR}/compiler-job.txt "--model resnet18 --compiler nope\n")
+expect_exit(1 batch --jobs ${WORK_DIR}/compiler-job.txt --out-dir ${out_dir})
+expect_contains(last_err "line 1: unknown compiler 'nope'")
+file(WRITE ${WORK_DIR}/layers-job.txt
+     "--model tiny-mlp\n--model resnet18 --layers 2\n")
+expect_exit(1 batch --jobs ${WORK_DIR}/layers-job.txt --out-dir ${out_dir}
+              --threads 2)
+expect_contains(last_err
+    "layers-job.txt line 2: 'decode'/'layers' need a transformer model")
+file(WRITE ${WORK_DIR}/decode-job.txt
+     "--model tiny-mlp\n--model bert-base --decode 4\n")
+expect_exit(1 batch --jobs ${WORK_DIR}/decode-job.txt --out-dir ${out_dir}
+              --threads 2)
+expect_contains(last_err
+    "decode-job.txt line 2: 'decode' needs a decoder-only model")
+
 message(STATUS "cli_smoke: all checks passed")

@@ -190,6 +190,13 @@ TEST(ServeProtocol, ResolveFailsOnUnknownNamesWithoutExiting)
     request.decodeKv = 4;
     EXPECT_FALSE(resolveServeRequest(request, &resolved, &error));
 
+    // ...and decode only on a decoder-only one: an encoder's decode step
+    // does not exist, and asking for it must not exit the process.
+    request.model = "bert-base";
+    EXPECT_FALSE(resolveServeRequest(request, &resolved, &error));
+    EXPECT_NE(error.find("decoder-only"), std::string::npos) << error;
+
+    request.model = "vgg16";
     request.decodeKv = 0;
     EXPECT_TRUE(resolveServeRequest(request, &resolved, &error)) << error;
     EXPECT_EQ(resolved.compilerId, "cmswitch");
