@@ -480,9 +480,10 @@ resolveChip(const std::string &name, const std::string &context)
 
 /**
  * Fill @p out from @p compile, except a zoo workload: then return
- * false, leaving it to the fatal-free resolveServeWorkload. Everything
- * that may fatal() is here — unknown names (reported with @p context)
- * and the graph-file parser — so it runs on the main thread.
+ * false, leaving it to the fatal-free resolveServeWorkload. Like
+ * resolveChip this may fatal() — on unknown names (reported with
+ * @p context) and in the graph-file parser — so it runs on the main
+ * thread.
  */
 bool
 prepareRequest(const ServeRequest &compile, const std::string &context,
