@@ -400,7 +400,9 @@ parseIntToken(const std::string &flag, const std::string &value,
 /**
  * Parse @p tokens as @p mode's flags. @p context names the source in
  * errors ("" for the command line, "<file> line N" for a job line).
- * --help and --version act as soon as they are read.
+ * --help and --version act as soon as they are read. The two compile
+ * modes share one rule, checked here: --model is required. Every other
+ * mode checks its rules in its own main.
  */
 Options
 parseArgs(Mode mode, const std::vector<std::string> &tokens,
