@@ -19,10 +19,11 @@
  *
  * Every mode, and each line of a batch jobs file, parses through one
  * flag table (flagTable) that says which modes accept each flag; rules
- * across flags are plain checks in each mode's main. A chip or model
- * that names an existing file is parsed from it; any other name
- * resolves through the serve daemon's fatal-free resolver
- * (serve_protocol.hpp), so every mode accepts the same names.
+ * across flags are plain checks in each mode's main. Names resolve
+ * through the serve daemon's fatal-free resolver (serve_protocol.hpp),
+ * so every mode accepts the same names; a model that names an existing
+ * file is parsed from it first, and a chip that is not a preset is
+ * parsed from its file.
  *
  * Flags, defaults and examples live in the kUsage text below, printed
  * by `cmswitchc --help` in every mode. Running without arguments
@@ -466,18 +467,20 @@ fileExists(const std::string &path)
     return static_cast<bool>(std::ifstream(path));
 }
 
-/** The chip @p name: a chip file, else a preset. */
+/** The chip @p name: a preset, else a chip file. A preset name never
+ *  touches the filesystem, so a file or directory called `prime` in
+ *  the working directory cannot shadow the preset. */
 ChipConfig
 resolveChip(const std::string &name, const std::string &context)
 {
-    if (fileExists(name))
-        return parseChipConfig(readFile(name));
     ChipConfig chip;
-    cmswitch_fatal_if(!resolveServeChip(name, &chip, nullptr),
+    if (resolveServeChip(name, &chip, nullptr))
+        return chip;
+    cmswitch_fatal_if(!fileExists(name),
                       inContext(context, concat("unknown chip '", name,
                                                 "' (not a preset, not a "
                                                 "file)")));
-    return chip;
+    return parseChipConfig(readFile(name));
 }
 
 /**

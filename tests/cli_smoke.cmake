@@ -174,6 +174,41 @@ expect_contains(last_err "tinymlp")
 expect_exit(0 --help)
 expect_contains(last_out "tiny-mlp")
 
+# A preset chip name never reads the working directory: neither a
+# `prime/` directory (say from `batch --out-dir prime`) nor a file named
+# `dynaplasia` there may stand in for the preset.
+# stats_in(<dir> <out var> <argv...>): the deterministic part of the
+# resnet18 --stats summary when cmswitchc runs in <dir>.
+function(stats_in dir var)
+    execute_process(COMMAND ${CMSWITCHC} --model resnet18 --stats ${ARGN}
+                    WORKING_DIRECTORY ${dir}
+                    RESULT_VARIABLE result
+                    ERROR_VARIABLE err)
+    if(NOT result EQUAL 0)
+        message(FATAL_ERROR "cmswitchc --model resnet18 --stats ${ARGN} in "
+                            "${dir}: exit '${result}'\nstderr:\n${err}")
+    endif()
+    string(REGEX MATCH "[0-9]+ segments, [0-9]+ cycles" plan "${err}")
+    string(REGEX MATCH "energy [0-9.]+ uJ" energy "${err}")
+    set(${var} "${plan}, ${energy}" PARENT_SCOPE)
+endfunction()
+set(shadow ${WORK_DIR}/shadow)
+file(MAKE_DIRECTORY ${shadow}/prime)
+file(WRITE ${shadow}/dynaplasia "not a chip description\n")
+stats_in(${WORK_DIR} prime_want --chip prime)
+stats_in(${WORK_DIR} default_want)
+if(prime_want STREQUAL default_want)
+    message(FATAL_ERROR "prime and dynaplasia give the same summary: "
+                        "${prime_want}")
+endif()
+stats_in(${shadow} prime_got --chip prime)
+stats_in(${shadow} default_got)
+if(NOT prime_got STREQUAL prime_want OR NOT default_got STREQUAL default_want)
+    message(FATAL_ERROR "a prime/ directory or a dynaplasia file changed "
+                        "the chip: prime ${prime_got} (want ${prime_want}), "
+                        "default ${default_got} (want ${default_want})")
+endif()
+
 # A job line's names are checked on the main thread and reported with
 # its line number; its zoo workload builds on the worker threads, which
 # report a failure instead of exiting.
