@@ -15,17 +15,7 @@
  * BENCH_compile_time.json. The differential tests guarantee the fast
  * and reference searches produce byte-identical plans, so the
  * speedup_vs_reference column measures pure search-efficiency gains.
- *
- * A fourth configuration times the optimized search at
- * kSearchThreads-way parallelism on the generative workloads (the
- * longest compiles), reported as search_threads_speedup per workload
- * plus a geomean summary. The config block records the search width
- * and std::thread::hardware_concurrency so the gate can skip the
- * speedup floor on machines with fewer cores than search threads
- * (a 1-core runner measures honest overhead, not parallelism).
  */
-
-#include <thread>
 
 #include "bench_util.hpp"
 #include "harness.hpp"
@@ -86,16 +76,8 @@ benchMain(int argc, char **argv)
     opts.warmups = args.warmups >= 0 ? args.warmups : 1;
     bench::Harness harness(opts);
 
-    // Search width of the parallel measurement. Fixed (not
-    // hardware-derived) so reports from different machines stay
-    // comparable; the gate decides from hardware_concurrency whether
-    // the speedup floor is meaningful on the producing machine.
-    const s64 kSearchThreads = 4;
-
     auto mlc = makeCimMlcCompiler(chip);
     auto ours = makeCmSwitchCompiler(chip);
-    auto ours_mt = makeCmSwitchCompiler(chip, /*referenceSearch=*/false,
-                                        kSearchThreads);
     CmSwitchOptions ref_options;
     ref_options.segmenter.referenceSearch = true;
     CmSwitchCompiler reference(chip, ref_options, "cmswitch-reference");
@@ -103,16 +85,12 @@ benchMain(int argc, char **argv)
     bench::BenchReport report("fig18_compile_time", opts);
     report.setConfig("sweep", args.full ? "full" : "trimmed");
     report.setConfig("chip", chip.name);
-    report.setConfig("search_threads", kSearchThreads);
-    report.setConfig(
-        "hardware_concurrency",
-        static_cast<s64>(std::thread::hardware_concurrency()));
 
     Table t("Fig. 18: compilation time (seconds, trimmed mean of "
             + std::to_string(opts.repeats) + " runs)");
     t.addRow({"model", "cim-mlc (s)", "cmswitch (s)", "ratio",
-              "reference (s)", "speedup", "mt-speedup"});
-    std::vector<double> ratios, speedups, mt_speedups;
+              "reference (s)", "speedup"});
+    std::vector<double> ratios, speedups;
     for (const ZooEntry &entry : fig14Benchmarks()) {
         std::vector<Graph> graphs = benchGraphs(entry, args.full);
         double mlc_s = compileSeconds(harness, *mlc, graphs);
@@ -122,20 +100,7 @@ benchMain(int argc, char **argv)
         double speedup = ref_s / std::max(ours_s, 1e-9);
         ratios.push_back(ratio);
         speedups.push_back(speedup);
-
-        // The parallel-search dimension is timed on the generative
-        // workloads only: they are the longest compiles (least noise),
-        // and timing them alone keeps the bench's runtime growth small.
-        double mt_s = -1.0, mt_speedup = -1.0;
-        if (entry.generative) {
-            mt_s = compileSeconds(harness, *ours_mt, graphs);
-            mt_speedup = ours_s / std::max(mt_s, 1e-9);
-            mt_speedups.push_back(mt_speedup);
-        }
-        t.addRow(entry.name,
-                 {mlc_s, ours_s, ratio, ref_s, speedup,
-                  entry.generative ? mt_speedup : 0.0},
-                 3);
+        t.addRow(entry.name, {mlc_s, ours_s, ratio, ref_s, speedup}, 3);
 
         bench::BenchRecord record;
         record.name = entry.name;
@@ -144,18 +109,11 @@ benchMain(int argc, char **argv)
             .metric("cmswitch_reference_seconds", ref_s)
             .metric("ratio_vs_cim_mlc", ratio)
             .metric("speedup_vs_reference", speedup);
-        if (entry.generative) {
-            record.metric("cmswitch_parallel_seconds", mt_s)
-                .metric("search_threads_speedup", mt_speedup);
-        }
         report.add(std::move(record));
     }
     report.setSummary("geomean_ratio_vs_cim_mlc", bench::geomean(ratios));
     report.setSummary("geomean_speedup_vs_reference",
                       bench::geomean(speedups));
-    if (!mt_speedups.empty())
-        report.setSummary("geomean_search_threads_speedup",
-                          bench::geomean(mt_speedups));
 
     t.print(std::cout);
     std::cout << "\nPaper anchors: CMSwitch compiles 2.8x-6.3x slower than "

@@ -93,13 +93,7 @@ BenchReport::BenchReport(std::string benchName,
 void
 BenchReport::setConfig(const std::string &key, const std::string &value)
 {
-    config_.push_back(ConfigEntry{key, value, 0, false});
-}
-
-void
-BenchReport::setConfig(const std::string &key, s64 value)
-{
-    config_.push_back(ConfigEntry{key, {}, value, true});
+    config_.emplace_back(key, value);
 }
 
 void
@@ -126,12 +120,8 @@ BenchReport::toJson() const
     w.field("warmups", static_cast<s64>(options_.warmups));
     w.field("repeats", static_cast<s64>(options_.repeats));
     w.field("trim_fraction", options_.trimFraction);
-    for (const ConfigEntry &entry : config_) {
-        if (entry.numeric)
-            w.field(entry.key, entry.number);
-        else
-            w.field(entry.key, entry.text);
-    }
+    for (const auto &[key, value] : config_)
+        w.field(key, value);
     w.endObject();
 
     // Sampling failures (non-Linux, or a truncated /proc read) leave

@@ -103,9 +103,6 @@ class BenchReport
     /** Free-form configuration note (e.g. "full" vs trimmed sweep). */
     void setConfig(const std::string &key, const std::string &value);
 
-    /** Numeric configuration note, emitted as a JSON number. */
-    void setConfig(const std::string &key, s64 value);
-
     void add(BenchRecord record);
 
     /** Cross-workload aggregate (geomeans etc.). */
@@ -120,14 +117,7 @@ class BenchReport
   private:
     std::string benchName_;
     Harness::Options options_;
-    struct ConfigEntry
-    {
-        std::string key;
-        std::string text; // used when !numeric
-        s64 number = 0;   // used when numeric
-        bool numeric = false;
-    };
-    std::vector<ConfigEntry> config_;
+    std::vector<std::pair<std::string, std::string>> config_;
     std::vector<BenchRecord> records_;
     std::vector<std::pair<std::string, double>> summary_;
 };

@@ -5,12 +5,10 @@
 namespace cmswitch {
 
 std::unique_ptr<Compiler>
-makeCmSwitchCompiler(ChipConfig chip, bool referenceSearch,
-                     s64 searchThreads)
+makeCmSwitchCompiler(ChipConfig chip, bool referenceSearch)
 {
     CmSwitchOptions options;
     options.segmenter.referenceSearch = referenceSearch;
-    options.segmenter.searchThreads = searchThreads;
     return std::make_unique<CmSwitchCompiler>(std::move(chip), options,
                                               "cmswitch");
 }
@@ -28,16 +26,16 @@ makeAllCompilers(const ChipConfig &chip)
 
 std::unique_ptr<Compiler>
 makeCompilerByName(const std::string &name, const ChipConfig &chip,
-                   bool referenceSearch, s64 searchThreads)
+                   bool referenceSearch)
 {
     if (name == "cmswitch")
-        return makeCmSwitchCompiler(chip, referenceSearch, searchThreads);
+        return makeCmSwitchCompiler(chip, referenceSearch);
     if (name == "cim-mlc")
-        return makeCimMlcCompiler(chip, referenceSearch, searchThreads);
+        return makeCimMlcCompiler(chip, referenceSearch);
     if (name == "occ")
-        return makeOccCompiler(chip, referenceSearch, searchThreads);
+        return makeOccCompiler(chip, referenceSearch);
     if (name == "puma")
-        return makePumaCompiler(chip, referenceSearch, searchThreads);
+        return makePumaCompiler(chip, referenceSearch);
     cmswitch_fatal("unknown compiler '", name, "'");
 }
 

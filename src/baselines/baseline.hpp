@@ -31,32 +31,23 @@ namespace cmswitch {
  * (SegmenterOptions::referenceSearch — reference DP, exact allocator
  * probes). The differential tests pin that both modes produce
  * byte-identical compile results across the scenario matrix.
- *
- * @p searchThreads (>= 1) sets SegmenterOptions::searchThreads: the
- * plan search of one compile runs on that many threads with plans
- * byte-identical for any value (see segmenter.hpp). Ignored when
- * referenceSearch is set.
  */
 
 /** PUMA-style compiler over @p chip. */
 std::unique_ptr<Compiler> makePumaCompiler(ChipConfig chip,
-                                           bool referenceSearch = false,
-                                           s64 searchThreads = 1);
+                                           bool referenceSearch = false);
 
 /** OCC-style compiler over @p chip. */
 std::unique_ptr<Compiler> makeOccCompiler(ChipConfig chip,
-                                          bool referenceSearch = false,
-                                          s64 searchThreads = 1);
+                                          bool referenceSearch = false);
 
 /** CIM-MLC-style compiler over @p chip (the paper's main baseline). */
 std::unique_ptr<Compiler> makeCimMlcCompiler(ChipConfig chip,
-                                             bool referenceSearch = false,
-                                             s64 searchThreads = 1);
+                                             bool referenceSearch = false);
 
 /** The full CMSwitch compiler over @p chip. */
 std::unique_ptr<Compiler> makeCmSwitchCompiler(ChipConfig chip,
-                                               bool referenceSearch = false,
-                                               s64 searchThreads = 1);
+                                               bool referenceSearch = false);
 
 /** All four, in the paper's plotting order (Fig. 14). */
 std::vector<std::unique_ptr<Compiler>> makeAllCompilers(const ChipConfig &chip);
@@ -68,8 +59,7 @@ std::vector<std::unique_ptr<Compiler>> makeAllCompilers(const ChipConfig &chip);
  */
 std::unique_ptr<Compiler> makeCompilerByName(const std::string &name,
                                              const ChipConfig &chip,
-                                             bool referenceSearch = false,
-                                             s64 searchThreads = 1);
+                                             bool referenceSearch = false);
 
 } // namespace cmswitch
 

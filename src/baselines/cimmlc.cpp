@@ -3,12 +3,10 @@
 namespace cmswitch {
 
 std::unique_ptr<Compiler>
-makeCimMlcCompiler(ChipConfig chip, bool referenceSearch,
-                   s64 searchThreads)
+makeCimMlcCompiler(ChipConfig chip, bool referenceSearch)
 {
     CmSwitchOptions options;
     options.segmenter.referenceSearch = referenceSearch;
-    options.segmenter.searchThreads = searchThreads;
     options.segmenter.useDp = false; // greedy max-fill segmentation
     options.segmenter.livenessAwareWriteback = true;
     options.segmenter.alloc.allowMemoryMode = false; // fixed compute mode

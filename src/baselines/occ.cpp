@@ -3,11 +3,10 @@
 namespace cmswitch {
 
 std::unique_ptr<Compiler>
-makeOccCompiler(ChipConfig chip, bool referenceSearch, s64 searchThreads)
+makeOccCompiler(ChipConfig chip, bool referenceSearch)
 {
     CmSwitchOptions options;
     options.segmenter.referenceSearch = referenceSearch;
-    options.segmenter.searchThreads = searchThreads;
     options.segmenter.useDp = false; // greedy one-pass segmentation
     options.segmenter.livenessAwareWriteback = true;
     options.segmenter.alloc.allowMemoryMode = false;

@@ -3,11 +3,10 @@
 namespace cmswitch {
 
 std::unique_ptr<Compiler>
-makePumaCompiler(ChipConfig chip, bool referenceSearch, s64 searchThreads)
+makePumaCompiler(ChipConfig chip, bool referenceSearch)
 {
     CmSwitchOptions options;
     options.segmenter.referenceSearch = referenceSearch;
-    options.segmenter.searchThreads = searchThreads;
     options.segmenter.useDp = false; // greedy max-fill segmentation
     options.segmenter.livenessAwareWriteback = false;
     options.segmenter.alloc.allowMemoryMode = false;

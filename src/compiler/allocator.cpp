@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <map>
 
 #include "obs/obs.hpp"
 #include "solver/mip.hpp"
 #include "support/logging.hpp"
-#include "support/task_pool.hpp"
 
 namespace cmswitch {
 
@@ -57,8 +54,8 @@ makeSegmentView(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi)
 }
 
 DualModeAllocator::DualModeAllocator(const CostModel &cost,
-                                     AllocatorOptions options, TaskPool *pool)
-    : cost_(&cost), options_(options), pool_(pool)
+                                     AllocatorOptions options)
+    : cost_(&cost), options_(options)
 {
 }
 
@@ -258,13 +255,6 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             mip_options.warmStart =
                 (out == nullptr && !options_.referenceSearch) ? warm
                                                               : nullptr;
-            // Parallel branch-and-bound likewise only on probes: it
-            // preserves the optimal objective (all a probe consumes)
-            // but not the solution values the filling solve emits.
-            if (out == nullptr && !options_.referenceSearch) {
-                mip_options.pool = pool_;
-                mip_options.searchThreads = options_.searchThreads;
-            }
             MipResult res = solveMip(mip, mip_options);
             cmswitch_assert(res.status == SolveStatus::kOptimal,
                             "reuse MIP must be feasible");
@@ -395,78 +385,10 @@ DualModeAllocator::allocate(const SegmentView &segment) const
     cmswitch_assert(tryTarget(segment, ub, nullptr, &warm),
                     "upper bound must be feasible");
 
-    // Speculative probe evaluation: the serial bisection visits a
-    // target sequence fully determined by earlier probe outcomes. We
-    // expand that outcome tree breadth-first from the current bracket
-    // (following memoised branches where the answer is already known),
-    // evaluate the next batch of unknown targets concurrently, and let
-    // the unchanged serial loop below consume the memo — so the
-    // bracket walk, the final target, and the cold-pivot filling solve
-    // are identical to the serial search for any thread count. Probe
-    // answers are warm-start-independent booleans, which is the same
-    // invariant the warm-vs-reference differential tests already pin.
-    const bool speculate = pool_ != nullptr && options_.searchThreads > 1
-                           && !options_.referenceSearch
-                           && !TaskPool::insideTask();
-    std::map<Cycles, bool> memo;
-    auto speculateBatch = [&](Cycles cur_lo, Cycles cur_hi) {
-        std::vector<Cycles> targets;
-        std::deque<std::pair<Cycles, Cycles>> brackets{{cur_lo, cur_hi}};
-        while (!brackets.empty()
-               && static_cast<s64>(targets.size())
-                      < options_.searchThreads) {
-            auto [l, h] = brackets.front();
-            brackets.pop_front();
-            if (l >= h)
-                continue;
-            Cycles mid = l + (h - l) / 2;
-            auto known = memo.find(mid);
-            if (known == memo.end()) {
-                if (std::find(targets.begin(), targets.end(), mid)
-                    == targets.end())
-                    targets.push_back(mid);
-                brackets.push_back({l, mid});
-                brackets.push_back({mid + 1, h});
-            } else if (known->second) {
-                brackets.push_back({l, mid});
-            } else {
-                brackets.push_back({mid + 1, h});
-            }
-        }
-        if (targets.empty())
-            return;
-        std::vector<char> answers(targets.size(), 0);
-        pool_->parallelFor(
-            static_cast<s64>(targets.size()), [&](s64 idx) {
-                LpWarmStart local_warm; // cold per probe; never shared
-                answers[static_cast<std::size_t>(idx)] =
-                    tryTarget(segment,
-                              targets[static_cast<std::size_t>(idx)],
-                              nullptr, &local_warm)
-                        ? 1
-                        : 0;
-            });
-        for (std::size_t i = 0; i < targets.size(); ++i)
-            memo[targets[i]] = answers[i] != 0;
-    };
-
     while (lo < hi) {
         obs::count(obs::Met::kAllocBisectionIters);
         Cycles mid = lo + (hi - lo) / 2;
-        bool fits;
-        if (speculate) {
-            auto it = memo.find(mid);
-            if (it == memo.end()) {
-                speculateBatch(lo, hi);
-                it = memo.find(mid);
-            }
-            fits = it != memo.end()
-                       ? it->second
-                       : tryTarget(segment, mid, nullptr, &warm);
-        } else {
-            fits = tryTarget(segment, mid, nullptr, &warm);
-        }
-        if (fits)
+        if (tryTarget(segment, mid, nullptr, &warm))
             hi = mid;
         else
             lo = mid + 1;

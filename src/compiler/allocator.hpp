@@ -28,8 +28,6 @@
 
 namespace cmswitch {
 
-class TaskPool;
-
 /** A candidate segment handed to the allocator. */
 struct SegmentView
 {
@@ -66,19 +64,6 @@ struct AllocatorOptions
      * solves are identical in both modes by construction.
      */
     bool referenceSearch = false;
-
-    /**
-     * Search parallelism (>= 1). With a TaskPool handed to the
-     * constructor and searchThreads > 1, the latency bisection
-     * speculatively evaluates upcoming probes of its own decision
-     * tree concurrently, and probe reuse MIPs may split their
-     * branch-and-bound across the pool. Probe answers are boolean and
-     * warm-start-independent, so the bisection walks the exact same
-     * bracket sequence as the serial search and the emitted
-     * allocation is bit-identical for any thread count. Ignored in
-     * referenceSearch mode, which stays fully serial.
-     */
-    s64 searchThreads = 1;
 };
 
 /** Result of allocating one segment. */
@@ -99,11 +84,7 @@ struct SegmentAllocation
 class DualModeAllocator
 {
   public:
-    /** @p pool (optional, caller-owned, must outlive the allocator)
-     *  enables the parallel search levers when
-     *  options.searchThreads > 1. */
-    DualModeAllocator(const CostModel &cost, AllocatorOptions options,
-                      TaskPool *pool = nullptr);
+    DualModeAllocator(const CostModel &cost, AllocatorOptions options);
 
     /** Solve one segment; infeasible segments return
      *  intraLatency == kInfCycles. */
@@ -142,7 +123,6 @@ class DualModeAllocator
 
     const CostModel *cost_;
     AllocatorOptions options_;
-    TaskPool *pool_ = nullptr;
 };
 
 } // namespace cmswitch

@@ -64,7 +64,6 @@ allocatorOptionsFor(const SegmenterOptions &options)
 {
     AllocatorOptions alloc = options.alloc;
     alloc.referenceSearch = alloc.referenceSearch || options.referenceSearch;
-    alloc.searchThreads = options.searchThreads;
     return alloc;
 }
 
@@ -72,10 +71,7 @@ allocatorOptionsFor(const SegmenterOptions &options)
 
 Segmenter::Segmenter(const CostModel &cost, SegmenterOptions options)
     : cost_(&cost), options_(options),
-      pool_(options.searchThreads > 1 && !options.referenceSearch
-                ? std::make_unique<TaskPool>(options.searchThreads)
-                : nullptr),
-      allocator_(cost, allocatorOptionsFor(options), pool_.get())
+      allocator_(cost, allocatorOptionsFor(options))
 {
 }
 
@@ -90,26 +86,6 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
         return **found;
     }
 
-    std::string key = rangeSignature(ops, lo, hi);
-
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-        ++cacheHits_;
-    } else {
-        ++cacheMisses_;
-        it = cache_
-                 .emplace(std::move(key),
-                          allocator_.allocate(makeSegmentView(ops, lo, hi)))
-                 .first;
-    }
-    rangeCache_.insert(range_key, &it->second);
-    return it->second;
-}
-
-std::string
-Segmenter::rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
-                          s64 hi) const
-{
     // Signature of the segment's workloads + intra edges: memoised
     // per-op fragments plus range-relative dependency edges.
     std::string key;
@@ -130,7 +106,19 @@ Segmenter::rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
         }
         key.push_back('|');
     }
-    return key;
+
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+        ++cacheHits_;
+    } else {
+        ++cacheMisses_;
+        it = cache_
+                 .emplace(std::move(key),
+                          allocator_.allocate(makeSegmentView(ops, lo, hi)))
+                 .first;
+    }
+    rangeCache_.insert(range_key, &it->second);
+    return it->second;
 }
 
 SegmentAllocation
@@ -399,258 +387,103 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
     };
     std::vector<std::vector<FastState>> dp(static_cast<std::size_t>(n) + 1);
 
-    // Per-candidate evaluation of segment [k, i): the one body both
-    // the serial loop and the sharded path run, so their costs agree
-    // by construction. Reads only immutable per-run structures and
-    // earlier DP boundaries; all scratch is caller-provided.
-    auto evalCandidate = [&](s64 k, s64 i, const SegmentAllocation &cur,
-                             std::vector<const OpWorkload *> &ws_view,
-                             std::vector<std::pair<s64, s64>> &crossing,
-                             std::vector<s64> &crossing_suffix,
-                             Cycles *best_cost_out, s64 *best_prev_out) {
-        // Hoisted predecessor-invariants of segment [k, i): Eq. 2
-        // rewrite, inbound bytes, allocation aggregates. The
-        // reference search recomputes each of these per
-        // predecessor state.
-        ws_view.clear();
-        for (s64 t = k; t < i; ++t)
-            ws_view.push_back(&ops[static_cast<std::size_t>(t)].work);
-        const Cycles rewrite =
-            cost_->weightRewriteLatency(ws_view, cur.allocs);
-        const s64 inbound = inboundBytes(ops, k, i);
-        const s64 cur_mem = cur.plan.memoryArrays;
-        const Cycles intra = cur.intraLatency;
-
-        Cycles best_cost = kInfCycles;
-        s64 best_prev = -1;
-        if (k == 0) {
-            // First segment: switches from the all-compute boot
-            // state, initial weight load, no predecessor data.
-            SwitchDelta delta = deha.switchesBetween(n_cim, cur.plan);
-            best_cost = intra + deha.switchLatency(delta) + rewrite
-                      + cost_->mainMemoryTransfer(
-                            std::max<s64>(0, inbound));
-            best_prev = -1;
-        } else if (!dp[static_cast<std::size_t>(k)].empty()) {
-            // Dependency edges crossing into [k, i) from before k,
-            // sorted by producer with suffix byte sums: the bytes a
-            // predecessor segment [j, k) hands over directly is the
-            // suffix at its start j — an O(log E) probe instead of
-            // the reference's full range walk per predecessor.
-            crossing.clear();
-            for (s64 t = k; t < i; ++t) {
-                const ScheduledOp &op = ops[static_cast<std::size_t>(t)];
-                for (std::size_t e = 0; e < op.preds.size(); ++e) {
-                    if (op.preds[e] < k)
-                        crossing.emplace_back(op.preds[e],
-                                              op.reuseBytes[e]);
-                }
-            }
-            std::sort(crossing.begin(), crossing.end());
-            crossing_suffix.assign(crossing.size() + 1, 0);
-            for (std::size_t c = crossing.size(); c-- > 0;)
-                crossing_suffix[c] =
-                    crossing_suffix[c + 1] + crossing[c].second;
-
-            for (const FastState &st : dp[static_cast<std::size_t>(k)]) {
-                auto from = std::lower_bound(
-                    crossing.begin(), crossing.end(),
-                    std::make_pair(st.start,
-                                   std::numeric_limits<s64>::min()));
-                s64 direct = crossing_suffix[static_cast<std::size_t>(
-                    from - crossing.begin())];
-                s64 carry_cap = chip.bufferBytes;
-                if (memory_mode) {
-                    carry_cap += std::min(st.memArrays, cur_mem)
-                               * array_bytes;
-                }
-                s64 carried = liveness ? std::min(direct, carry_cap) : 0;
-                s64 store = liveness
-                              ? st.outBytes - carried
-                              : prefixOutput_[static_cast<std::size_t>(k)]
-                                    - prefixOutput_[
-                                        static_cast<std::size_t>(
-                                            st.start)];
-                store = std::max<s64>(0, store);
-                s64 load = std::max<s64>(0, inbound - carried);
-
-                // Approximate physical state entering the segment:
-                // everything not used as memory by the previous
-                // segment is (or can be) in compute mode.
-                SwitchDelta delta = deha.switchesBetween(
-                    n_cim - st.memArrays, cur.plan);
-                Cycles cost = st.cost + intra
-                            + cost_->mainMemoryTransfer(store)
-                            + cost_->mainMemoryTransfer(load)
-                            + deha.switchLatency(delta) + rewrite;
-                if (cost < best_cost) {
-                    best_cost = cost;
-                    best_prev = st.start;
-                }
-            }
-        }
-        *best_cost_out = best_cost;
-        *best_prev_out = best_prev;
-    };
-
-    // Scratch reused across candidate segments (serial path).
+    // Scratch reused across candidate segments.
     std::vector<const OpWorkload *> ws_view;
     std::vector<std::pair<s64, s64>> crossing; // (producer, bytes), sorted
     std::vector<s64> crossing_suffix;          // suffix byte sums
 
-    TaskPool *pool = pool_.get();
-
-    // Sharded-path scratch: one boundary's candidates with their
-    // allocation resolution state (miss < 0: served from cache).
-    struct Candidate
-    {
-        s64 k = 0;
-        const SegmentAllocation *alloc = nullptr;
-        s64 miss = -1;
-        Cycles cost = kInfCycles;
-        s64 prev = -1;
-    };
-    struct Miss
-    {
-        std::string sig;
-        s64 k = 0;
-        SegmentAllocation result;
-    };
-    std::vector<Candidate> cands;
-    std::vector<Miss> misses;
-    std::vector<const SegmentAllocation *> miss_ptr;
-
     for (s64 i = 1; i <= n; ++i) {
         obs::count(obs::Met::kDpBoundaries);
-        if (pool == nullptr) {
-            for (s64 k = min_start[static_cast<std::size_t>(i)]; k < i;
-                 ++k) {
-                const SegmentAllocation &cur = allocateCachedRef(ops, k, i);
-                if (!cur.feasible())
-                    continue;
-                Cycles best_cost = kInfCycles;
-                s64 best_prev = -1;
-                evalCandidate(k, i, cur, ws_view, crossing, crossing_suffix,
-                              &best_cost, &best_prev);
-                if (best_cost < kInfCycles) {
-                    dp[static_cast<std::size_t>(i)].push_back(
-                        FastState{k, best_cost, best_prev,
-                                  cur.plan.memoryArrays,
-                                  liveOutBytes(ops, k, i, i)});
-                }
-            }
-            continue;
-        }
+        for (s64 k = min_start[static_cast<std::size_t>(i)]; k < i; ++k) {
+            const SegmentAllocation &cur = allocateCachedRef(ops, k, i);
+            if (!cur.feasible())
+                continue;
 
-        // Phase A (serial): resolve each candidate's allocation through
-        // the caches with the exact serial bookkeeping — the first
-        // start index of an unseen signature counts the miss, repeats
-        // count hits — batching the misses for Phase B.
-        cands.clear();
-        misses.clear();
-        {
-            obs::Span spanA("dp.phase_a", "segmenter");
-            spanA.arg("boundary", i);
-            for (s64 k = min_start[static_cast<std::size_t>(i)]; k < i;
-                 ++k) {
-                s64 range_key = k * (n + 1) + i;
-                if (const SegmentAllocation **found =
-                        rangeCache_.find(range_key)) {
-                    ++cacheHits_;
-                    cands.push_back(
-                        Candidate{k, *found, -1, kInfCycles, -1});
-                    continue;
-                }
-                std::string sig = rangeSignature(ops, k, i);
-                auto it = cache_.find(sig);
-                if (it != cache_.end()) {
-                    ++cacheHits_;
-                    rangeCache_.insert(range_key, &it->second);
-                    cands.push_back(
-                        Candidate{k, &it->second, -1, kInfCycles, -1});
-                    continue;
-                }
-                s64 miss_slot = -1;
-                for (std::size_t m = 0; m < misses.size(); ++m) {
-                    if (misses[m].sig == sig) {
-                        miss_slot = static_cast<s64>(m);
-                        break;
+            // Hoisted predecessor-invariants of segment [k, i): Eq. 2
+            // rewrite, inbound bytes, allocation aggregates. The
+            // reference search recomputes each of these per
+            // predecessor state.
+            ws_view.clear();
+            for (s64 t = k; t < i; ++t)
+                ws_view.push_back(&ops[static_cast<std::size_t>(t)].work);
+            const Cycles rewrite =
+                cost_->weightRewriteLatency(ws_view, cur.allocs);
+            const s64 inbound = inboundBytes(ops, k, i);
+            const s64 cur_mem = cur.plan.memoryArrays;
+            const Cycles intra = cur.intraLatency;
+
+            Cycles best_cost = kInfCycles;
+            s64 best_prev = -1;
+            if (k == 0) {
+                // First segment: switches from the all-compute boot
+                // state, initial weight load, no predecessor data.
+                SwitchDelta delta = deha.switchesBetween(n_cim, cur.plan);
+                best_cost = intra + deha.switchLatency(delta) + rewrite
+                          + cost_->mainMemoryTransfer(
+                                std::max<s64>(0, inbound));
+                best_prev = -1;
+            } else if (!dp[static_cast<std::size_t>(k)].empty()) {
+                // Dependency edges crossing into [k, i) from before k,
+                // sorted by producer with suffix byte sums: the bytes a
+                // predecessor segment [j, k) hands over directly is the
+                // suffix at its start j — an O(log E) probe instead of
+                // the reference's full range walk per predecessor.
+                crossing.clear();
+                for (s64 t = k; t < i; ++t) {
+                    const ScheduledOp &op = ops[static_cast<std::size_t>(t)];
+                    for (std::size_t e = 0; e < op.preds.size(); ++e) {
+                        if (op.preds[e] < k)
+                            crossing.emplace_back(op.preds[e],
+                                                  op.reuseBytes[e]);
                     }
                 }
-                if (miss_slot < 0) {
-                    ++cacheMisses_;
-                    miss_slot = static_cast<s64>(misses.size());
-                    misses.push_back(Miss{std::move(sig), k, {}});
-                } else {
-                    ++cacheHits_;
+                std::sort(crossing.begin(), crossing.end());
+                crossing_suffix.assign(crossing.size() + 1, 0);
+                for (std::size_t c = crossing.size(); c-- > 0;)
+                    crossing_suffix[c] =
+                        crossing_suffix[c + 1] + crossing[c].second;
+
+                for (const FastState &st : dp[static_cast<std::size_t>(k)]) {
+                    auto from = std::lower_bound(
+                        crossing.begin(), crossing.end(),
+                        std::make_pair(st.start,
+                                       std::numeric_limits<s64>::min()));
+                    s64 direct = crossing_suffix[static_cast<std::size_t>(
+                        from - crossing.begin())];
+                    s64 carry_cap = chip.bufferBytes;
+                    if (memory_mode) {
+                        carry_cap += std::min(st.memArrays, cur_mem)
+                                   * array_bytes;
+                    }
+                    s64 carried = liveness ? std::min(direct, carry_cap) : 0;
+                    s64 store = liveness
+                                  ? st.outBytes - carried
+                                  : prefixOutput_[static_cast<std::size_t>(k)]
+                                        - prefixOutput_[
+                                            static_cast<std::size_t>(
+                                                st.start)];
+                    store = std::max<s64>(0, store);
+                    s64 load = std::max<s64>(0, inbound - carried);
+
+                    // Approximate physical state entering the segment:
+                    // everything not used as memory by the previous
+                    // segment is (or can be) in compute mode.
+                    SwitchDelta delta = deha.switchesBetween(
+                        n_cim - st.memArrays, cur.plan);
+                    Cycles cost = st.cost + intra
+                                + cost_->mainMemoryTransfer(store)
+                                + cost_->mainMemoryTransfer(load)
+                                + deha.switchLatency(delta) + rewrite;
+                    if (cost < best_cost) {
+                        best_cost = cost;
+                        best_prev = st.start;
+                    }
                 }
-                cands.push_back(
-                    Candidate{k, nullptr, miss_slot, kInfCycles, -1});
             }
-        }
-
-        // Phase B: allocate the batched misses concurrently. Each
-        // allocation sees the same segment view the serial first touch
-        // would, and the allocator's own levers are thread-count
-        // invariant, so the results match the serial search's.
-        {
-            obs::Span spanB("dp.phase_b", "segmenter");
-            spanB.arg("boundary", i);
-            spanB.arg("misses", static_cast<s64>(misses.size()));
-            pool->parallelFor(
-                static_cast<s64>(misses.size()), [&](s64 m) {
-                    Miss &miss = misses[static_cast<std::size_t>(m)];
-                    obs::Span missSpan("dp.alloc_miss", "segmenter");
-                    missSpan.arg("start", miss.k);
-                    missSpan.arg("end", i);
-                    miss.result = allocator_.allocate(
-                        makeSegmentView(ops, miss.k, i));
-                });
-        }
-
-        // Phase B2 (serial, ascending k): publish into the caches.
-        miss_ptr.assign(misses.size(), nullptr);
-        for (std::size_t m = 0; m < misses.size(); ++m) {
-            auto it = cache_
-                          .emplace(std::move(misses[m].sig),
-                                   std::move(misses[m].result))
-                          .first;
-            miss_ptr[m] = &it->second;
-        }
-        for (Candidate &cand : cands) {
-            if (cand.miss >= 0) {
-                cand.alloc = miss_ptr[static_cast<std::size_t>(cand.miss)];
-                rangeCache_.insert(cand.k * (n + 1) + i, cand.alloc);
-            }
-        }
-        cands.erase(std::remove_if(cands.begin(), cands.end(),
-                                   [](const Candidate &cand) {
-                                       return !cand.alloc->feasible();
-                                   }),
-                    cands.end());
-
-        // Phase C: score candidates concurrently (reads only earlier
-        // DP boundaries), then reduce in ascending-k order — the same
-        // append order and strict-< tie-breaking as the serial loop.
-        obs::Span spanC("dp.phase_c", "segmenter");
-        spanC.arg("boundary", i);
-        spanC.arg("candidates", static_cast<s64>(cands.size()));
-        pool->parallelFor(
-            static_cast<s64>(cands.size()), [&](s64 c) {
-                Candidate &cand = cands[static_cast<std::size_t>(c)];
-                std::vector<const OpWorkload *> task_ws;
-                std::vector<std::pair<s64, s64>> task_crossing;
-                std::vector<s64> task_suffix;
-                evalCandidate(cand.k, i, *cand.alloc, task_ws,
-                              task_crossing, task_suffix, &cand.cost,
-                              &cand.prev);
-            });
-        for (const Candidate &cand : cands) {
-            if (cand.cost < kInfCycles) {
+            if (best_cost < kInfCycles) {
                 dp[static_cast<std::size_t>(i)].push_back(
-                    FastState{cand.k, cand.cost, cand.prev,
-                              cand.alloc->plan.memoryArrays,
-                              liveOutBytes(ops, cand.k, i, i)});
+                    FastState{k, best_cost, best_prev, cur_mem,
+                              liveOutBytes(ops, k, i, i)});
             }
         }
     }

@@ -32,7 +32,6 @@
 #ifndef CMSWITCH_COMPILER_SEGMENTER_HPP
 #define CMSWITCH_COMPILER_SEGMENTER_HPP
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "compiler/allocator.hpp"
 #include "compiler/compiler_api.hpp"
 #include "support/flat_map.hpp"
-#include "support/task_pool.hpp"
 
 namespace cmswitch {
 
@@ -63,20 +61,6 @@ struct SegmenterOptions
      * must produce byte-identical plans.
      */
     bool referenceSearch = false;
-
-    /**
-     * Plan-search parallelism (>= 1). With searchThreads > 1 the
-     * segmenter owns a TaskPool and (a) batches each DP boundary's
-     * allocation cache misses and per-start candidate scans across it,
-     * (b) hands the pool to the allocator for speculative bisection
-     * probes and parallel probe branch-and-bound. Every lever reduces
-     * in a fixed serial order, so emitted plans — and the signature
-     * cache hit/miss counters — are byte-identical for any value of
-     * this knob (pinned by segmenter_diff_test's thread sweep).
-     * Ignored when referenceSearch is set; the reference path stays
-     * fully serial.
-     */
-    s64 searchThreads = 1;
 };
 
 /** One chosen segment with its allocation and entry overheads. */
@@ -153,11 +137,6 @@ class Segmenter
     const SegmentAllocation &
     allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi);
 
-    /** Signature-cache key of segment [lo, hi): memoised per-op
-     *  fragments plus range-relative dependency edges. */
-    std::string rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
-                               s64 hi) const;
-
     /** Value-returning wrapper kept for the reference/greedy paths. */
     SegmentAllocation allocateCached(const std::vector<ScheduledOp> &ops,
                                      s64 lo, s64 hi);
@@ -191,9 +170,6 @@ class Segmenter
 
     const CostModel *cost_;
     SegmenterOptions options_;
-    /** Search pool (searchThreads > 1 only). Declared before the
-     *  allocator, which captures the raw pointer at construction. */
-    std::unique_ptr<TaskPool> pool_;
     DualModeAllocator allocator_;
 
     /** Cross-run signature cache: segment shape -> allocation. Node

@@ -342,7 +342,6 @@ gauName(Gau g)
     switch (g) {
     case Gau::kServeInflight: return "serve.inflight";
     case Gau::kServeQueueDepth: return "serve.queue_depth";
-    case Gau::kSearchThreads: return "service.search_threads";
     case Gau::kServiceThreads: return "service.threads";
     case Gau::kCount: break;
     }

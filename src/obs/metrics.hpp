@@ -201,7 +201,6 @@ enum class Met : u32 {
 enum class Gau : u32 {
     kServeInflight,
     kServeQueueDepth,
-    kSearchThreads,
     kServiceThreads,
     kCount,
 };

@@ -28,9 +28,6 @@ requestKey(const CompileRequest &request)
     h = fnv1a64(serializeGraph(request.workload), h);
     h = fnv1a64(request.compilerId, h);
     h = fnv1a64(request.optimize ? "|optimize" : "|raw", h);
-    // searchThreads is deliberately excluded: plans are byte-identical
-    // for any search width (segmenter_diff_test pins this), so a warm
-    // cache serves every width from one entry.
     return hexDigest(h);
 }
 
@@ -59,12 +56,7 @@ compileArtifact(const CompileRequest &request, std::string key)
         graph = &optimized;
     }
 
-    cmswitch_fatal_if(request.searchThreads < 1,
-                      "compile request needs searchThreads >= 1, got ",
-                      request.searchThreads);
-    auto compiler = makeCompilerByName(request.compilerId, request.chip,
-                                       /*referenceSearch=*/false,
-                                       request.searchThreads);
+    auto compiler = makeCompilerByName(request.compilerId, request.chip);
     {
         obs::ScopedPhase backend(obs::Hist::kPhaseBackend,
                                  "backend.compile", "service");
@@ -95,9 +87,6 @@ static CompileServiceOptions validatedServiceOptions(CompileServiceOptions optio
 {
     cmswitch_fatal_if(options.threads < 1,
                       "compile service needs at least one worker thread");
-    cmswitch_fatal_if(options.searchThreads < 1,
-                      "compile service needs searchThreads >= 1, got ",
-                      options.searchThreads);
     cmswitch_fatal_if(options.cacheCapacity < 1,
                       "compile service needs cacheCapacity >= 1, got ",
                       options.cacheCapacity);
@@ -183,7 +172,6 @@ std::future<ArtifactPtr>
 CompileService::submit(CompileRequest request,
                        ServiceRequestLatency *latency)
 {
-    request.searchThreads = options_.searchThreads;
     std::string key = requestKey(request); // hash before the move below
     std::packaged_task<ArtifactPtr()> task(
         [this, request = std::move(request), key = std::move(key), latency,
@@ -227,12 +215,10 @@ CompileService::compileNow(const CompileRequest &request,
         std::lock_guard<std::mutex> lock(mutex_);
         ++requests_;
     }
-    CompileRequest stamped = request;
-    stamped.searchThreads = options_.searchThreads;
-    std::string key = requestKey(stamped);
+    std::string key = requestKey(request);
     obs::ScopedPhase execute(obs::Hist::kServiceExecute, "service.execute",
                              "service");
-    return lookup(stamped, key, outcome);
+    return lookup(request, key, outcome);
 }
 
 CompileServiceStats

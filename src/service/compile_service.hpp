@@ -49,14 +49,7 @@ struct CompileRequest
     /** Run the frontend graph passes before compiling. */
     bool optimize = false;
 
-    /**
-     * Plan-search threads inside this one compile (>= 1). Plans are
-     * byte-identical for any value, so this is deliberately *not* part
-     * of requestKey(): artifacts compiled at different search widths
-     * share cache entries, in memory and on disk. Service entry points
-     * stamp CompileServiceOptions::searchThreads over this field.
-     */
-    s64 searchThreads = 1;
+    s64 searchThreads = 1; ///< ignored; perfbench still assigns it
 };
 
 /**
@@ -122,12 +115,7 @@ struct CompileServiceOptions
 {
     s64 threads = 1;        ///< worker pool size (>= 1)
     s64 cacheCapacity = 256;///< completed plans kept (>= 1)
-
-    /** Plan-search threads *within* each compile (>= 1); stamped onto
-     *  every request. Orthogonal to `threads`: one sizes the pool
-     *  across requests, the other the search inside a request. All
-     *  three knobs are validated (fatal) at construction. */
-    s64 searchThreads = 1;
+    s64 searchThreads = 1;  ///< ignored; perfbench still assigns it
 
     /** Directory of the persistent cross-process plan cache; empty
      *  keeps the cache in-memory only. Lookups go memory -> disk ->

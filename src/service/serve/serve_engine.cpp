@@ -174,9 +174,6 @@ ServeEngine::handleCompile(const ServeRequest &request)
         emit(renderServeError(request.id, error));
         return;
     }
-    // Stamp the service's search width before hashing so the
-    // coalescing key equals the artifact key compileNow() will use.
-    resolved.searchThreads = service_.options().searchThreads;
     std::string key = requestKey(resolved);
 
     bool rider = false;

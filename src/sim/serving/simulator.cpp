@@ -166,9 +166,8 @@ runServingSimulation(const SimScenario &scenario,
                      const ServingSimOptions &options, SimResult *out,
                      std::string *error)
 {
-    if (options.compileThreads < 1 || options.searchThreads < 1)
-        return simFail(error, "sim needs compileThreads/searchThreads "
-                              ">= 1");
+    if (options.compileThreads < 1)
+        return simFail(error, "sim needs compileThreads >= 1");
 
     *out = SimResult();
 
@@ -193,7 +192,6 @@ runServingSimulation(const SimScenario &scenario,
     // finishes first, so the report's plan list is deterministic.
     CompileServiceOptions serviceOptions;
     serviceOptions.threads = options.compileThreads;
-    serviceOptions.searchThreads = options.searchThreads;
     CompileService service(serviceOptions);
 
     struct PlanSlot

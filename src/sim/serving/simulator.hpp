@@ -47,7 +47,6 @@ inline constexpr const char *kSimReportSchema = "cmswitch-sim-v1";
 struct ServingSimOptions
 {
     s64 compileThreads = 1; ///< plan-table compile pool (>= 1)
-    s64 searchThreads = 1;  ///< plan-search threads per compile (>= 1)
 };
 
 /** One compiled plan-table entry: (workload variant, chip preset). */
@@ -123,7 +122,7 @@ struct SimResult
  * Compile the plan table and run the scenario to completion (arrivals
  * stop at the horizon; queued work drains). Fails — never fatals — on
  * unresolvable workloads or a failed compile. Deterministic: equal
- * (scenario, searchThreads) give equal results for any compileThreads.
+ * scenarios give equal results for any compileThreads.
  */
 bool runServingSimulation(const SimScenario &scenario,
                           const ServingSimOptions &options, SimResult *out,

@@ -1,12 +1,10 @@
 #include "solver/mip.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <queue>
 
 #include "obs/obs.hpp"
 #include "support/logging.hpp"
-#include "support/task_pool.hpp"
 
 namespace cmswitch {
 
@@ -49,7 +47,7 @@ pickBranchVar(const LinearModel &model, const std::vector<double> &values,
     return best;
 }
 
-/** One best-first search over a frontier, serial within itself. */
+/** The best-first search: its open nodes, incumbent and result. */
 struct SearchState
 {
     OpenQueue open;
@@ -58,44 +56,19 @@ struct SearchState
     MipResult result;
 };
 
-/** Lower @p shared to @p value if it improves it (CAS min). */
-void
-lowerSharedBound(std::atomic<double> &shared, double value)
-{
-    double cur = shared.load(std::memory_order_relaxed);
-    while (value < cur
-           && !shared.compare_exchange_weak(cur, value,
-                                            std::memory_order_relaxed)) {
-    }
-}
-
-/**
- * Pop-and-branch until the frontier drains, the node budget runs out,
- * or (stop_width > 0) the frontier grows to stop_width nodes. With
- * @p shared_best set, incumbents from concurrent sibling searches
- * tighten the prune bound exactly like a local incumbent would; the
- * bound only ever holds true solution objectives, so no subtree that
- * could still improve on the global optimum by more than gapAbs is
- * ever pruned — the optimal objective matches the serial search.
- */
+/** Pop-and-branch until the frontier drains or the node budget runs
+ *  out. */
 void
 drainBnb(const LinearModel &model, const MipOptions &options, double dir,
-         LpWarmStart *warm, LinearModel &scratch, SearchState &state,
-         s64 stop_width, std::atomic<double> *shared_best)
+         LpWarmStart *warm, LinearModel &scratch, SearchState &state)
 {
     OpenQueue &open = state.open;
     MipResult &result = state.result;
     std::vector<std::pair<VarId, std::pair<double, double>>> saved_bounds;
 
     while (!open.empty() && result.nodesExplored < options.maxNodes) {
-        if (stop_width > 0 && static_cast<s64>(open.size()) >= stop_width)
-            return;
         double best_known = state.have_incumbent ? state.incumbent_obj
                                                  : kInfinity;
-        if (shared_best != nullptr) {
-            best_known = std::min(
-                best_known, shared_best->load(std::memory_order_relaxed));
-        }
 
         Node node = open.top();
         open.pop();
@@ -140,8 +113,6 @@ drainBnb(const LinearModel &model, const MipOptions &options, double dir,
                         std::round(result.values[static_cast<std::size_t>(v)]);
                 }
             }
-            if (shared_best != nullptr)
-                lowerSharedBound(*shared_best, lp_obj);
             continue;
         }
 
@@ -211,77 +182,10 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
     // term lists) once per node.
     LinearModel scratch = model;
 
-    const bool parallel = options.pool != nullptr && options.searchThreads > 1
-                          && !TaskPool::insideTask();
-    if (!parallel) {
-        drainBnb(model, options, dir, warm, scratch, state,
-                 /*stop_width=*/0, /*shared_best=*/nullptr);
-        if (!state.open.empty() && !state.have_incumbent)
-            state.result.status = SolveStatus::kLimit;
-        return state.result;
-    }
-
-    // Parallel mode: grow a frontier serially (identical pop order to
-    // the serial search), then hand each frontier node to its own
-    // self-contained best-first search. Subtrees only communicate
-    // through the shared incumbent bound.
-    drainBnb(model, options, dir, warm, scratch, state,
-             /*stop_width=*/2 * options.searchThreads,
-             /*shared_best=*/nullptr);
-    if (state.open.empty() || state.result.nodesExplored >= options.maxNodes) {
-        if (!state.open.empty() && !state.have_incumbent)
-            state.result.status = SolveStatus::kLimit;
-        return state.result;
-    }
-
-    std::vector<Node> frontier;
-    frontier.reserve(state.open.size());
-    while (!state.open.empty()) {
-        frontier.push_back(state.open.top()); // best-bound order
-        state.open.pop();
-    }
-
-    std::atomic<double> shared_best{
-        state.have_incumbent ? state.incumbent_obj : kInfinity};
-    std::vector<SearchState> subs(frontier.size());
-    options.pool->parallelFor(
-        static_cast<s64>(frontier.size()), [&](s64 f) {
-            SearchState &sub = subs[static_cast<std::size_t>(f)];
-            sub.result.status = SolveStatus::kInfeasible;
-            sub.open.push(frontier[static_cast<std::size_t>(f)]);
-            LinearModel sub_scratch = model;
-            LpWarmStart sub_warm; // cold per subtree; never shared
-            drainBnb(model, options, dir, &sub_warm, sub_scratch, sub,
-                     /*stop_width=*/0, &shared_best);
-        });
-
-    // Deterministic merge: the expansion incumbent is considered
-    // first, then each subtree in frontier (best-bound) order; a
-    // subtree replaces the winner only by improving it beyond gapAbs,
-    // mirroring the serial incumbent-acceptance rule.
-    MipResult merged = state.result;
-    bool have = state.have_incumbent;
-    double best_obj = state.incumbent_obj;
-    bool open_left = false;
-    for (const SearchState &sub : subs) {
-        merged.nodesExplored += sub.result.nodesExplored;
-        open_left = open_left || !sub.open.empty();
-        if (!sub.have_incumbent)
-            continue;
-        if (!have || sub.incumbent_obj < best_obj - options.gapAbs) {
-            have = true;
-            best_obj = sub.incumbent_obj;
-            merged.status = sub.result.status;
-            merged.objective = sub.result.objective;
-            merged.values = sub.result.values;
-        }
-    }
-    if (have)
-        merged.status = SolveStatus::kOptimal;
-    else
-        merged.status = open_left ? SolveStatus::kLimit
-                                  : SolveStatus::kInfeasible;
-    return merged;
+    drainBnb(model, options, dir, warm, scratch, state);
+    if (!state.open.empty() && !state.have_incumbent)
+        state.result.status = SolveStatus::kLimit;
+    return state.result;
 }
 
 } // namespace cmswitch

@@ -14,8 +14,6 @@
 
 namespace cmswitch {
 
-class TaskPool;
-
 /** Knobs for the branch-and-bound search. */
 struct MipOptions
 {
@@ -32,20 +30,6 @@ struct MipOptions
      * optimal basis too. Owned by the caller; must outlive the call.
      */
     LpWarmStart *warmStart = nullptr;
-
-    /**
-     * When pool != nullptr and searchThreads > 1, branch-and-bound
-     * expands a frontier serially (deterministic best-bound order) and
-     * then solves the frontier subtrees concurrently against a shared
-     * atomic incumbent bound. The optimal *objective* and the solve
-     * status are identical to the serial search for any thread count;
-     * `values` are merged in fixed frontier order and `nodesExplored`
-     * (plus the per-subtree node budget) may differ from serial, so
-     * callers that consume solution values bit-for-bit must keep the
-     * solve serial. Nested inside a pool task the solve stays serial.
-     */
-    TaskPool *pool = nullptr;
-    s64 searchThreads = 1;
 };
 
 /** Outcome of a MIP solve. */

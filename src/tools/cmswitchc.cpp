@@ -107,15 +107,11 @@ Options:
                       compiled plan for this exact request from DIR
                       (cmswitch-plan-v1 artifact files, shared across
                       processes) and store fresh compiles back
-  --search-threads N  plan-search threads inside the compile
-                      (default 1). Plans are byte-identical for any
-                      value, so this only changes compile time — and
-                      cached plans are shared across values
   --stats             print only the latency/energy breakdown, not
                       the program (--out FILE still writes it)
   --trace FILE        record the compile pipeline (frontend passes,
-                      segmenter DP phases, allocator probes, solver
-                      calls, cache lookups) and write a Chrome
+                      segmenter DP, allocator probes, solver calls,
+                      cache lookups) and write a Chrome
                       trace-event JSON to FILE; open it in
                       chrome://tracing or https://ui.perfetto.dev.
                       Plans are byte-identical with or without tracing
@@ -138,12 +134,9 @@ flags above (--model, --chip, --compiler, --batch, --seq, --decode,
   --cache-capacity N     compiled plans kept in memory (default 256)
   --cache-dir DIR        persistent plan cache shared with other runs
                          (lookups go memory -> disk -> compile)
-  --search-threads N     plan-search threads inside each compile
-                         (default 1; batch-level, not per job —
-                         deterministic, see single-mode flag above)
   --trace FILE           one Chrome trace-event JSON covering every
-                         job; service workers and search-pool threads
-                         appear as separate trace threads
+                         job; service workers appear as separate trace
+                         threads
   --job-latency          add each job's queue-wait/execute split to its
                          report (the same "observability"."request"
                          section serve responses and single-mode
@@ -174,8 +167,6 @@ outcomes (periodic --status-every lines add interval deltas):
   --cache-dir DIR        persistent plan cache; lookups go memory ->
                          disk -> cold and responses say which step
                          served them
-  --search-threads N     plan-search threads inside each compile
-                         (default 1)
   --trace FILE           Chrome trace-event JSON covering the whole
                          serve run, written on exit
   --metrics FILE         JSON metrics snapshot written on exit
@@ -194,8 +185,6 @@ all randomness comes from the scenario's seed, for any --threads:
   --out FILE             write the report to FILE (default stdout)
   --threads N            plan-table compile threads (default 1; the
                          event loop itself is single-threaded)
-  --search-threads N     plan-search threads inside each compile
-                         (default 1)
 
 Cache mode maintains a --cache-dir populated by earlier runs; every
 verb prints a JSON report to stdout:
@@ -280,7 +269,6 @@ struct Options
     std::string connectPath;
     std::string scriptFile;
     std::string scenarioFile;
-    s64 searchThreads = 1;
     s64 threads = 1;
     s64 cacheCapacity = 256;
     s64 maxInflight = 1;
@@ -327,8 +315,6 @@ flagTable(Options &o)
         {"--version", kSingle, &o.version},
         {"--help", kSingle | kSubcommands, &o.help},
         {"--cache-dir", kSingle | kBatch | kServe | kCache, &o.cacheDir},
-        {"--search-threads", kSingle | kBatch | kServe | kSim,
-         &o.searchThreads, 1},
         {"--trace", kSingle | kBatch | kServe, &o.traceFile},
         {"--metrics", kSingle | kServe, &o.metricsFile},
         {"--jobs", kBatch, &o.jobsFile},
@@ -590,7 +576,6 @@ singleMain(const Options &args)
 {
     ObsSession session;
     session.start(args.traceFile, !args.metricsFile.empty());
-    obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     // The passes run inside compileArtifact (driven by request.optimize)
     // so a single-mode compile and the identical batch job line hash to
@@ -601,7 +586,6 @@ singleMain(const Options &args)
     if (!prepareRequest(args.compile, "", &request)
         && !resolveServeWorkload(args.compile, &request.workload, &error))
         cmswitch_fatal(error);
-    request.searchThreads = args.searchThreads;
 
     ArtifactPtr artifact;
     auto executeStart = std::chrono::steady_clock::now();
@@ -814,12 +798,10 @@ batchMain(Options batch)
     session.start(batch.traceFile, /*metrics=*/true);
     obs::MetricsRegistry &registry = *session.registry;
     obs::setGauge(obs::Gau::kServiceThreads, batch.threads);
-    obs::setGauge(obs::Gau::kSearchThreads, batch.searchThreads);
 
     auto t0 = std::chrono::steady_clock::now();
     CompileService service({.threads = batch.threads,
                             .cacheCapacity = batch.cacheCapacity,
-                            .searchThreads = batch.searchThreads,
                             .cacheDir = batch.cacheDir});
 
     // Stable addresses for the per-job latency out-structs: workers
@@ -869,10 +851,9 @@ batchMain(Options batch)
         sidecar = service.diskCache()->flushSidecar();
     JsonWriter w;
     w.beginObject()
-        .field("schema", "cmswitch-batch-summary-v6")
+        .field("schema", "cmswitch-batch-summary-v7")
         .field("jobs", static_cast<s64>(jobs.size()))
         .field("threads", batch.threads)
-        .field("search_threads", batch.searchThreads)
         .field("invalid_jobs", invalid)
         .field("wall_seconds", wall);
     w.key("cache")
@@ -962,7 +943,6 @@ serveMain(const Options &args)
     installServeSignalHandlers();
     ObsSession session;
     session.start(args.traceFile, !args.metricsFile.empty());
-    obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     int exitCode = 0;
     {
@@ -974,7 +954,6 @@ serveMain(const Options &args)
         options.maxQueue = args.maxQueue;
         options.statusEvery = args.statusEvery;
         options.service.cacheCapacity = args.cacheCapacity;
-        options.service.searchThreads = args.searchThreads;
         options.service.cacheDir = args.cacheDir;
         ServeEngine engine(
             options,
@@ -1093,7 +1072,6 @@ simMain(const Options &args)
     }
     ServingSimOptions options;
     options.compileThreads = args.threads;
-    options.searchThreads = args.searchThreads;
     SimResult result;
     if (!runServingSimulation(scenario, options, &result, &error)) {
         std::cerr << "cmswitchc: sim: " << error << "\n";

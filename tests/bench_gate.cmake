@@ -19,17 +19,9 @@
 #  2. summary.geomean_speedup_vs_reference must stay >= MIN_SPEEDUP
 #     (default 2.000, expressed in thousandths): the optimized search
 #     must keep its lead over the retained pre-optimization search.
-#  3. summary.geomean_search_threads_speedup (parallel plan search at
-#     config.search_threads workers vs serial, generative workloads)
-#     must stay >= MIN_SEARCH_SPEEDUP (default 1.800, thousandths;
-#     [-DMIN_SEARCH_SPEEDUP_MILLI=1800]). Skipped when the report omits
-#     the field, and informational when the producing machine has fewer
-#     hardware threads than config.search_threads — a 1-core runner
-#     measures parallelism overhead, not parallelism.
 #
 # Environment overrides (useful on noisy shared CI runners):
-#   CMSWITCH_BENCH_GATE_TOLERANCE_PERCENT, CMSWITCH_BENCH_GATE_MIN_SPEEDUP_MILLI,
-#   CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI
+#   CMSWITCH_BENCH_GATE_TOLERANCE_PERCENT, CMSWITCH_BENCH_GATE_MIN_SPEEDUP_MILLI
 #
 # On failure the gate prints how to refresh the baseline; see
 # "Compile-time benchmarking" in README.md.
@@ -49,11 +41,6 @@ if(DEFINED ENV{CMSWITCH_BENCH_GATE_MIN_SPEEDUP_MILLI})
     set(MIN_SPEEDUP_MILLI $ENV{CMSWITCH_BENCH_GATE_MIN_SPEEDUP_MILLI})
 elseif(NOT DEFINED MIN_SPEEDUP_MILLI)
     set(MIN_SPEEDUP_MILLI 2000)
-endif()
-if(DEFINED ENV{CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI})
-    set(MIN_SEARCH_SPEEDUP_MILLI $ENV{CMSWITCH_BENCH_GATE_MIN_SEARCH_SPEEDUP_MILLI})
-elseif(NOT DEFINED MIN_SEARCH_SPEEDUP_MILLI)
-    set(MIN_SEARCH_SPEEDUP_MILLI 1800)
 endif()
 
 # Noise floor: wall-time deltas below this baseline are informational
@@ -200,50 +187,6 @@ else()
     message(STATUS
             "bench_gate: geomean speedup vs reference search: ${speedup}x "
             "(floor ${MIN_SPEEDUP_MILLI}/1000x)")
-endif()
-
-# Gate 3: parallel plan search must pay off. The field is absent when
-# the report predates the parallel-search dimension (or a run disabled
-# it) — skip, don't fail, so old baselines and partial reports still
-# gate on checks 1 and 2. The floor only binds when the producing
-# machine actually had at least config.search_threads hardware threads.
-string(JSON search_speedup ERROR_VARIABLE search_speedup_error
-       GET "${report_json}" summary geomean_search_threads_speedup)
-if(search_speedup_error)
-    message(STATUS
-            "bench_gate: report has no geomean_search_threads_speedup — "
-            "skipping the parallel-search check")
-else()
-    string(JSON search_threads ERROR_VARIABLE search_threads_error
-           GET "${report_json}" config search_threads)
-    string(JSON hw_threads ERROR_VARIABLE hw_threads_error
-           GET "${report_json}" config hardware_concurrency)
-    if(search_threads_error OR hw_threads_error)
-        message(FATAL_ERROR
-                "bench_gate: report has geomean_search_threads_speedup but "
-                "no config.search_threads/hardware_concurrency to judge it")
-    endif()
-    to_nanos(${search_speedup} search_speedup_nanos)
-    math(EXPR search_speedup_milli "${search_speedup_nanos} / 1000000")
-    # hardware_concurrency 0 means "unknown" — treated as too few, since
-    # an unverifiable floor would only produce unactionable failures.
-    if(hw_threads LESS ${search_threads})
-        message(STATUS
-                "bench_gate: search-threads speedup ${search_speedup}x at "
-                "${search_threads} threads on ${hw_threads} hardware "
-                "thread(s) — informational only (not enough cores to "
-                "enforce the ${MIN_SEARCH_SPEEDUP_MILLI}/1000x floor)")
-    elseif(search_speedup_milli LESS ${MIN_SEARCH_SPEEDUP_MILLI})
-        list(APPEND failures
-             "geomean parallel-search speedup is ${search_speedup}x at \
-${search_threads} search threads, below the required \
-${MIN_SEARCH_SPEEDUP_MILLI}/1000x")
-    else()
-        message(STATUS
-                "bench_gate: geomean search-threads speedup: "
-                "${search_speedup}x at ${search_threads} threads "
-                "(floor ${MIN_SEARCH_SPEEDUP_MILLI}/1000x)")
-    endif()
 endif()
 
 if(failures)

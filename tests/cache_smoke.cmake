@@ -11,15 +11,11 @@
 #      (serial) then warm (4 threads) over a shared --cache-dir: the
 #      warm pass compiles nothing (every unique key is a disk hit),
 #      every per-job report is byte-identical to the cold serial run,
-#      and the v6 summaries carry matching sidecar/fingerprint fields;
-#   4b. the parallel plan search swept across real processes: a cold
-#      batch at --search-threads 8 (own cache dir, so all 48 cells
-#      really compile through the parallel search) must byte-match
-#      every cold-serial report, and a warm --search-threads 2 batch
-#      over the shared cache dir must serve every key from disk —
-#      plans cached at width 1 satisfy requests at any width;
-#   5. `cache verify` passes the warm directory, `cache gc
-#      --max-bytes 0` then reaps every artifact but never the sidecar.
+#      and the v7 summaries carry matching sidecar/fingerprint fields;
+#   5. `cache gc --max-bytes N` on a copy of the warm directory keeps
+#      at most N plan bytes, `cache verify` passes the warm directory,
+#      and `cache gc --max-bytes 0` then reaps every artifact but never
+#      the sidecar.
 # Every cache dir holds only *.plan files and the stats sidecar, so gc
 # sees (and bounds) all of it: `cache gc --max-bytes N` leaves at most
 # N plan bytes behind.
@@ -236,11 +232,11 @@ endfunction()
 
 # Cold pass: nothing on disk yet -> every unique key misses disk and is
 # stored; warm pass: every unique key is served from disk, zero stores.
-# The v6 summaries also carry the cross-process sidecar totals (cold
+# The v7 summaries also carry the cross-process sidecar totals (cold
 # flushed before its summary, warm sees cold's flush plus its own) and
 # the build fingerprint every process of this build agrees on.
 file(READ ${WORK_DIR}/cold-serial/summary.json cold_summary)
-expect_summary("${cold_summary}" cmswitch-batch-summary-v6 schema)
+expect_summary("${cold_summary}" cmswitch-batch-summary-v7 schema)
 expect_summary("${cold_summary}" ${job_count} jobs)
 expect_summary("${cold_summary}" 0 invalid_jobs)
 expect_summary("${cold_summary}" ${job_count} cache disk_misses)
@@ -290,63 +286,21 @@ foreach(report IN LISTS reports)
     endif()
 endforeach()
 
-# --- 4b. parallel plan search across processes ------------------------
-
-# Cold at --search-threads 8 against a fresh cache dir: every cell
-# compiles through the parallel search in a real process, and every
-# report must byte-match its cold-serial (--search-threads 1) twin.
-run_batch(1 ${WORK_DIR}/cold-st8 ${WORK_DIR}/batch-plan-cache-st8
-          --search-threads 8)
-file(READ ${WORK_DIR}/cold-st8/summary.json st8_summary)
-expect_summary("${st8_summary}" 8 search_threads)
-expect_summary("${st8_summary}" 0 invalid_jobs)
-expect_summary("${st8_summary}" ${job_count} cache disk_misses)
-foreach(report IN LISTS reports)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${WORK_DIR}/cold-serial/${report}
-                            ${WORK_DIR}/cold-st8/${report}
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR "${report} differs between --search-threads 1 "
-                            "(cold serial) and --search-threads 8 (cold)")
-    endif()
-endforeach()
-
-# Warm at --search-threads 2 over the shared cache dir: searchThreads is
-# not part of the request key, so plans stored by the width-1 cold run
-# must serve every width-2 request from disk — zero compiles.
-run_batch(2 ${WORK_DIR}/warm-st2 ${batch_cache} --search-threads 2)
-file(READ ${WORK_DIR}/warm-st2/summary.json st2_summary)
-expect_summary("${st2_summary}" 2 search_threads)
-expect_summary("${st2_summary}" 0 invalid_jobs)
-expect_summary("${st2_summary}" ${job_count} cache disk_hits)
-expect_summary("${st2_summary}" 0 cache disk_misses)
-expect_summary("${st2_summary}" 0 cache disk_stores)
-foreach(report IN LISTS reports)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${WORK_DIR}/cold-serial/${report}
-                            ${WORK_DIR}/warm-st2/${report}
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR "${report} differs between the cold serial "
-                            "and warm --search-threads 2 runs")
-    endif()
-endforeach()
-
 expect_only_plans(${batch_cache} batch_bytes)
-expect_only_plans(${WORK_DIR}/batch-plan-cache-st8 st8_bytes)
 
 # --- 5. lifecycle: verify passes, gc reaps plans but not the sidecar --
 
-# A byte budget bounds the whole directory: gc to half the st8 cache's
-# plan bytes keeps some plans and leaves at most the budget behind.
-math(EXPR budget "${st8_bytes} / 2")
-run_cache(budget_doc gc --cache-dir ${WORK_DIR}/batch-plan-cache-st8
-          --max-bytes ${budget})
-expect_only_plans(${WORK_DIR}/batch-plan-cache-st8 kept_bytes)
+# A byte budget bounds the whole directory: gc a copy of the batch
+# cache to half its plan bytes; gc keeps some plans and leaves at most
+# the budget behind.
+set(budget_cache ${WORK_DIR}/budget-plan-cache)
+file(COPY ${batch_cache}/ DESTINATION ${budget_cache})
+math(EXPR budget "${batch_bytes} / 2")
+run_cache(budget_doc gc --cache-dir ${budget_cache} --max-bytes ${budget})
+expect_only_plans(${budget_cache} kept_bytes)
 if(kept_bytes GREATER budget OR kept_bytes EQUAL 0)
     message(FATAL_ERROR "cache gc --max-bytes ${budget} left ${kept_bytes} "
-                        "plan bytes (of ${st8_bytes})")
+                        "plan bytes (of ${batch_bytes})")
 endif()
 
 run_cache(verify_doc verify --cache-dir ${batch_cache})
@@ -360,14 +314,12 @@ expect_json("${gc_doc}" ${job_count} scanned_files)
 expect_json("${gc_doc}" ${job_count} deleted_files)
 expect_json("${gc_doc}" 0 kept_files)
 
-# Post-gc: the artifacts are gone, the sidecar totals are not. Two warm
-# passes hit this cache dir (warm-mt and warm-st2), the cold pass
-# missed+stored once per job.
+# Post-gc: the artifacts are gone, the sidecar totals are not. The
+# warm pass hit once per job, the cold pass missed+stored once per job.
 run_cache(post_gc_stats stats --cache-dir ${batch_cache})
-math(EXPR two_warm_passes "${job_count} * 2")
 expect_json("${post_gc_stats}" 0 plan_files)
 expect_json("${post_gc_stats}" ON sidecar_present)
-expect_json("${post_gc_stats}" ${two_warm_passes} hits)
+expect_json("${post_gc_stats}" ${job_count} hits)
 expect_json("${post_gc_stats}" ${job_count} misses)
 expect_json("${post_gc_stats}" ${job_count} stores)
 

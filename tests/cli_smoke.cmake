@@ -92,6 +92,24 @@ foreach(flag "--out x" "--emit-json x" "--cache-dir x" "--stats"
     expect_usage("${name}"
                  batch --jobs ${WORK_DIR}/flag-job.txt --out-dir ${out_dir})
 endforeach()
+# The plan search runs serially; no mode takes a search width.
+expect_usage("unknown flag '--search-threads'"
+             --model resnet18 --search-threads 2)
+expect_usage("unknown batch flag '--search-threads'"
+             batch --jobs ${jobs} --out-dir ${out_dir} --search-threads 2)
+expect_usage("unknown sim flag '--search-threads'" sim --search-threads 2)
+# Serve is fed an empty stdin, so a daemon that accepted the flag would
+# end its session and exit 0 instead of waiting for requests.
+file(WRITE ${WORK_DIR}/empty.txt "")
+execute_process(COMMAND ${CMSWITCHC} serve --search-threads 2
+                INPUT_FILE ${WORK_DIR}/empty.txt
+                RESULT_VARIABLE result
+                ERROR_VARIABLE err)
+if(NOT result EQUAL 2
+   OR NOT err MATCHES "unknown serve flag '--search-threads'")
+    message(FATAL_ERROR "serve --search-threads 2: expected exit 2 naming "
+                        "the flag, got '${result}'\nstderr:\n${err}")
+endif()
 if(EXISTS ${out_dir})
     message(FATAL_ERROR "a rejected batch created ${out_dir}")
 endif()
@@ -137,7 +155,7 @@ endforeach()
 expect_exit(0 --help)
 foreach(flag
         --model --chip --compiler --batch --seq --decode --layers
-        --optimize --out --emit-json --cache-dir --search-threads --stats
+        --optimize --out --emit-json --cache-dir --stats
         --trace --metrics --help --version
         --jobs --out-dir --threads --summary --cache-capacity --job-latency
         --socket --pid-file --max-inflight --max-queue --status-every
@@ -146,6 +164,9 @@ foreach(flag
         --max-bytes --max-age --delete)
     expect_contains(last_out "${flag}[^-a-z]")
 endforeach()
+if(last_out MATCHES "--search-threads")
+    message(FATAL_ERROR "the usage text still names --search-threads")
+endif()
 
 # --- --stats drops only the stdout dump; --out still writes ---------
 

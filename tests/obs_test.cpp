@@ -359,7 +359,7 @@ TEST(MetricsRegistry, SnapshotIsDeterministicForEqualWorkloads)
     auto populate = [](MetricsRegistry &registry) {
         registry.counter(Met::kMipSolves).add(7);
         registry.counter(Met::kDpBoundaries).add(123);
-        registry.gauge(Gau::kSearchThreads).set(4);
+        registry.gauge(Gau::kServiceThreads).set(4);
         registry.histogram(Hist::kPhaseSegment).record(0.125);
         registry.histogram(Hist::kPhaseSegment).record(0.25);
         registry.counter("custom.alpha").add(1);
@@ -412,7 +412,7 @@ TEST(ObsControlPlane, DisabledByDefaultAndHelpersAreNoOps)
     EXPECT_EQ(trace(), nullptr);
     // Must not crash with nothing installed.
     count(Met::kCompiles);
-    setGauge(Gau::kSearchThreads, 8);
+    setGauge(Gau::kServiceThreads, 8);
     recordSeconds(Hist::kPhaseCompile, 0.5);
     Span span("noop", "test");
     span.arg("x", 1);

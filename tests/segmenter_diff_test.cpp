@@ -10,13 +10,6 @@
  * divergence, down to a single latency cycle or reuse split, fails
  * here with the first differing byte offset.
  *
- * The same cells additionally sweep the fast search across
- * searchThreads in {2, 8}: the parallel plan search (phased DP
- * batching, speculative bisection, frontier branch-and-bound) must
- * also be byte-identical to the serial fast path — the determinism
- * contract behind `cmswitchc --search-threads` and the service's
- * thread-invariant request keys.
- *
  * A final pass recompiles with full observability installed (metrics
  * registry + trace recorder): instrumentation observes, never steers,
  * so the plan must again be byte-identical — the `--trace`/`--metrics`
@@ -83,34 +76,15 @@ TEST_P(SearchDiff, FastAndReferenceSearchProduceIdenticalPlans)
         << firstDifference(fast_bytes, reference_bytes) << " of "
         << fast_bytes.size();
 
-    // Thread sweep: the parallel search must reproduce the serial fast
-    // plan byte for byte, for widths both under and well over the
-    // machine's core count.
-    for (s64 threads : {s64{2}, s64{8}}) {
-        auto parallel = makeCompilerByName(compiler_name, chip,
-                                           /*referenceSearch=*/false,
-                                           threads);
-        std::string parallel_bytes = serializedPlan(*parallel, graph);
-        EXPECT_TRUE(parallel_bytes == fast_bytes)
-            << compiler_name << " on " << workload_name << "@" << chip_name
-            << " at searchThreads=" << threads
-            << ": serialized plans diverge at byte "
-            << firstDifference(parallel_bytes, fast_bytes) << " of "
-            << fast_bytes.size();
-    }
-
-    // Observability sweep: a compile with metrics + tracing installed
-    // (and the parallel search active, so the instrumented DP phases
-    // and pool threads all run) must still produce the fast plan byte
-    // for byte. This is the --trace/--metrics "observe, never steer"
+    // Observability sweep: a compile of the fast search with metrics +
+    // tracing installed must still produce the fast plan byte for
+    // byte. This is the --trace/--metrics "observe, never steer"
     // contract.
     {
         obs::MetricsRegistry registry;
         obs::TraceRecorder recorder;
         obs::install(&registry, &recorder);
-        auto observed = makeCompilerByName(compiler_name, chip,
-                                           /*referenceSearch=*/false,
-                                           /*searchThreads=*/2);
+        auto observed = makeCompilerByName(compiler_name, chip);
         std::string observed_bytes = serializedPlan(*observed, graph);
         obs::uninstall();
         EXPECT_TRUE(observed_bytes == fast_bytes)

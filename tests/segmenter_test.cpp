@@ -161,40 +161,6 @@ TEST(Segmenter, CacheHitsOnRepeatedBlocks)
     EXPECT_GT(seg.cacheHits(), seg.cacheMisses());
 }
 
-TEST(Segmenter, ParallelSearchPreservesCacheCounters)
-{
-    // The parallel DP batches allocation misses, but its phase-A
-    // bookkeeping must replicate serial cache accounting exactly: same
-    // hit and miss totals for any width, not just the same plan (the
-    // signature cache is observable via cacheHits/cacheMisses and via
-    // Fig. 18's reuse claims). Repeated transformer blocks make the
-    // counters non-trivial.
-    Deha deha(ChipConfig::dynaplasia());
-    CostModel cost(deha);
-    TransformerConfig cfg = TransformerConfig::bertBase();
-    cfg.layers = 4;
-    Graph g = buildTransformerPrefill(cfg, 1, 64);
-    auto ops = flattenGraph(g, deha);
-
-    Segmenter serial(cost, dualModeDp());
-    ScheduleResult serial_r = serial.run(ops);
-    ASSERT_TRUE(serial_r.feasible());
-
-    for (s64 threads : {s64{2}, s64{4}}) {
-        SegmenterOptions opts = dualModeDp();
-        opts.searchThreads = threads;
-        Segmenter parallel(cost, opts);
-        ScheduleResult r = parallel.run(ops);
-        ASSERT_TRUE(r.feasible());
-        EXPECT_EQ(r.latency.total(), serial_r.latency.total())
-            << "searchThreads=" << threads;
-        EXPECT_EQ(parallel.cacheHits(), serial.cacheHits())
-            << "searchThreads=" << threads;
-        EXPECT_EQ(parallel.cacheMisses(), serial.cacheMisses())
-            << "searchThreads=" << threads;
-    }
-}
-
 TEST(Segmenter, BreakdownComponentsNonNegative)
 {
     Deha deha(ChipConfig::dynaplasia());

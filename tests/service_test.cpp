@@ -15,7 +15,6 @@
 
 #include "service/compile_service.hpp"
 #include "service/json_report.hpp"
-#include "support/serialize.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -167,20 +166,6 @@ TEST(RequestKey, EveryComponentChangesTheKey)
     EXPECT_NE(requestKey(base), requestKey(optimize));
 }
 
-TEST(RequestKey, SearchThreadsDoesNotChangeTheKey)
-{
-    // Plans are byte-identical for any search width (segmenter_diff
-    // thread sweep), so the width must stay out of the key: a warm
-    // cache serves requests compiled at any width.
-    CompileRequest base;
-    base.chip = testing::tinyChip(8);
-    base.workload = testing::chainMlp(2);
-
-    CompileRequest wide = base;
-    wide.searchThreads = 8;
-    EXPECT_EQ(requestKey(base), requestKey(wide));
-}
-
 TEST(CompileArtifactFn, CompilesValidatesAndPrices)
 {
     CompileRequest request;
@@ -197,7 +182,7 @@ TEST(CompileArtifactFn, CompilesValidatesAndPrices)
 
 TEST(CompileService, SubmitDeduplicatesIdenticalRequests)
 {
-    CompileService service({.threads = 4, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 4, .cacheCapacity = 16, .cacheDir = ""});
     CompileRequest request;
     request.chip = testing::tinyChip(8);
     request.workload = testing::chainMlp(2);
@@ -220,7 +205,7 @@ TEST(CompileService, SubmitDeduplicatesIdenticalRequests)
 
 TEST(CompileService, MixedRequestsAllCompile)
 {
-    CompileService service({.threads = 3, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 3, .cacheCapacity = 16, .cacheDir = ""});
     std::vector<std::future<ArtifactPtr>> futures;
     for (s64 n = 1; n <= 4; ++n) {
         CompileRequest request;
@@ -246,68 +231,22 @@ TEST(CompileService, MixedRequestsAllCompile)
 TEST(CompileService, RejectsInvalidOptionsAtConstruction)
 {
     // Regression: every service knob is validated fatally up front —
-    // a zero/negative pool or search width must never reach the worker
-    // spawn loop or a compile.
+    // a zero/negative pool or cache capacity must never reach the
+    // worker spawn loop or the plan cache.
     // Braces: `CompileService(no_workers)` would declare a variable.
     CompileServiceOptions no_workers;
     no_workers.threads = 0;
     EXPECT_EXIT(CompileService{no_workers}, ::testing::ExitedWithCode(1),
                 "worker thread");
-    CompileServiceOptions no_search;
-    no_search.searchThreads = 0;
-    EXPECT_EXIT(CompileService{no_search}, ::testing::ExitedWithCode(1),
-                "searchThreads");
     CompileServiceOptions no_cache;
     no_cache.cacheCapacity = 0;
     EXPECT_EXIT(CompileService{no_cache}, ::testing::ExitedWithCode(1),
                 "cacheCapacity");
 }
 
-TEST(CompileArtifactFn, RejectsInvalidSearchThreads)
-{
-    CompileRequest request;
-    request.chip = testing::tinyChip(8);
-    request.workload = testing::chainMlp(2);
-    request.searchThreads = 0;
-    EXPECT_EXIT(compileArtifact(request), ::testing::ExitedWithCode(1),
-                "searchThreads");
-}
-
-TEST(CompileService, StampsSearchThreadsAndPreservesPlans)
-{
-    // The service stamps its configured width onto every request; the
-    // resulting artifact must byte-match a serial compile of the same
-    // request (the determinism contract, exercised through the service
-    // entry points rather than the compiler directly).
-    CompileRequest request;
-    request.chip = testing::tinyChip(8);
-    request.workload = testing::chainMlp(3);
-
-    ArtifactPtr serial = compileArtifact(request);
-
-    CompileServiceOptions options;
-    options.threads = 2;
-    options.cacheCapacity = 16;
-    options.searchThreads = 4;
-    CompileService service(options);
-    ArtifactPtr parallel = service.compileNow(request);
-    ASSERT_NE(parallel, nullptr);
-    EXPECT_TRUE(parallel->validation.ok());
-    EXPECT_EQ(parallel->key, serial->key);
-
-    auto planBytes = [](const ArtifactPtr &a) {
-        CompileResult result = a->result;
-        result.compileSeconds = 0.0; // wall clock differs, nothing else
-        BinaryWriter w;
-        result.writeBinary(w);
-        return w.take();
-    };
-    EXPECT_EQ(planBytes(parallel), planBytes(serial));
-}
-
 TEST(CompileService, CompileNowSharesCacheWithSubmit)
 {
-    CompileService service({.threads = 2, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 2, .cacheCapacity = 16, .cacheDir = ""});
     CompileRequest request;
     request.chip = testing::tinyChip(8);
     request.workload = testing::chainMlp(2);

@@ -19,7 +19,7 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 set(model resnet18)
-set(common --model ${model} --optimize --search-threads 2)
+set(common --model ${model} --optimize)
 
 # Plain compile: the reference program, no observability.
 execute_process(COMMAND ${CMSWITCHC} ${common}
@@ -88,9 +88,9 @@ foreach(i RANGE ${last})
 endforeach()
 
 # The pipeline's marquee spans must all appear somewhere in the trace:
-# frontend, partitioner, segmenter DP phases, allocator, solver.
-foreach(span frontend_passes partition.flatten segmenter.run dp.phase_a
-        dp.phase_b dp.phase_c alloc.allocate alloc.probe mip.solve codegen)
+# frontend, partitioner, segmenter DP, allocator, solver.
+foreach(span frontend_passes partition.flatten segmenter.run alloc.allocate
+        alloc.probe mip.solve codegen)
     string(FIND "${trace_doc}" "\"name\": \"${span}\"" at)
     if(at EQUAL -1)
         message(FATAL_ERROR "trace is missing span '${span}'")
