@@ -22,8 +22,8 @@
  * across flags are plain checks in each mode's main. Names resolve
  * through the serve daemon's fatal-free resolver (serve_protocol.hpp),
  * so every mode accepts the same names; a model that names an existing
- * file is parsed from it first, and a chip that is not a preset is
- * parsed from its file.
+ * file (not a directory) is parsed from it first, and a chip that is
+ * not a preset is parsed from its file.
  *
  * Flags, defaults and examples live in the kUsage text below, printed
  * by `cmswitchc --help` in every mode. Running without arguments
@@ -447,10 +447,14 @@ readFile(const std::string &path)
     return oss.str();
 }
 
+/** True when @p path names something to read that is not a directory:
+ *  a regular file, a FIFO or /dev/stdin. */
 bool
 fileExists(const std::string &path)
 {
-    return static_cast<bool>(std::ifstream(path));
+    std::error_code ec;
+    std::filesystem::file_status st = std::filesystem::status(path, ec);
+    return std::filesystem::exists(st) && !std::filesystem::is_directory(st);
 }
 
 /** The chip @p name: a preset, else a chip file. A preset name never

@@ -197,7 +197,9 @@ expect_contains(last_out "tiny-mlp")
 
 # A preset chip name never reads the working directory: neither a
 # `prime/` directory (say from `batch --out-dir prime`) nor a file named
-# `dynaplasia` there may stand in for the preset.
+# `dynaplasia` there may stand in for the preset. Nor is a directory
+# read as a file: a `resnet18/` directory leaves the zoo model as it
+# is, and a `foo/` directory is no chip file.
 # stats_in(<dir> <out var> <argv...>): the deterministic part of the
 # resnet18 --stats summary when cmswitchc runs in <dir>.
 function(stats_in dir var)
@@ -214,7 +216,7 @@ function(stats_in dir var)
     set(${var} "${plan}, ${energy}" PARENT_SCOPE)
 endfunction()
 set(shadow ${WORK_DIR}/shadow)
-file(MAKE_DIRECTORY ${shadow}/prime)
+file(MAKE_DIRECTORY ${shadow}/prime ${shadow}/foo ${shadow}/resnet18)
 file(WRITE ${shadow}/dynaplasia "not a chip description\n")
 stats_in(${WORK_DIR} prime_want --chip prime)
 stats_in(${WORK_DIR} default_want)
@@ -225,9 +227,20 @@ endif()
 stats_in(${shadow} prime_got --chip prime)
 stats_in(${shadow} default_got)
 if(NOT prime_got STREQUAL prime_want OR NOT default_got STREQUAL default_want)
-    message(FATAL_ERROR "a prime/ directory or a dynaplasia file changed "
-                        "the chip: prime ${prime_got} (want ${prime_want}), "
-                        "default ${default_got} (want ${default_want})")
+    message(FATAL_ERROR "a prime/ or resnet18/ directory or a dynaplasia "
+                        "file changed the compile: prime ${prime_got} (want "
+                        "${prime_want}), default ${default_got} (want "
+                        "${default_want})")
+endif()
+execute_process(COMMAND ${CMSWITCHC} --model resnet18 --stats --chip foo
+                WORKING_DIRECTORY ${shadow}
+                RESULT_VARIABLE result
+                ERROR_VARIABLE err)
+if(NOT result EQUAL 1
+   OR NOT err MATCHES "unknown chip 'foo' \\(not a preset, not a file\\)")
+    message(FATAL_ERROR "--chip foo beside a foo/ directory: expected exit "
+                        "1 and an unknown-chip error, got '${result}'\n"
+                        "stderr:\n${err}")
 endif()
 
 # A job line's names are checked on the main thread and reported with
