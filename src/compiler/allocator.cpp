@@ -60,12 +60,11 @@ DualModeAllocator::DualModeAllocator(const CostModel &cost,
 }
 
 DualModeAllocator::Needs
-DualModeAllocator::needsForTarget(const OpWorkload &w, Cycles t,
-                                  double dmain_share) const
+DualModeAllocator::needsForTarget(const OpWorkload &w, const OpConstants &c,
+                                  Cycles t) const
 {
     Needs n;
-    Cycles fixed = cost_->fixedOverhead(w);
-    Cycles budget = t - fixed;
+    Cycles budget = t - c.fixed;
     if (budget <= 0)
         return n;
     if (w.macs <= 0) {
@@ -77,32 +76,27 @@ DualModeAllocator::needsForTarget(const OpWorkload &w, Cycles t,
                        / static_cast<double>(budget);
 
     // Compute side: smallest duplication multiple reaching the rate.
-    double per_bundle = cost_->computeRate(w, w.weightTiles);
-    cmswitch_assert(per_bundle > 0.0, "zero base compute rate");
+    cmswitch_assert(c.perBundle > 0.0, "zero base compute rate");
     s64 dup = static_cast<s64>(
-        std::ceil(rate_needed / per_bundle - kRateEps));
+        std::ceil(rate_needed / c.perBundle - kRateEps));
     dup = std::max<s64>(1, dup);
-    s64 dup_cap = options_.allowDuplication
-                ? std::max<s64>(1, w.movingRows)
-                : 1;
-    if (dup > dup_cap)
+    if (dup > c.dupCap)
         return n;
     n.computeArrays = dup * w.weightTiles;
 
     // Memory side: Eq. 10's M term, inverted for the array count.
-    if (cost_->memoryRate(w, 0, dmain_share) + kRateEps >= rate_needed) {
+    if (c.memoryFloor + kRateEps >= rate_needed) {
         n.memoryArrays = 0;
     } else {
         if (!options_.allowMemoryMode)
             return n;
-        const ChipConfig &chip = cost_->chip();
         double bw_needed = rate_needed
                          / std::max(w.aiMacsPerByte, kRateEps);
         s64 mem = static_cast<s64>(std::ceil(
-            (bw_needed - dmain_share * chip.dMain())
-            / chip.internalBwPerArray - kRateEps));
+            (bw_needed - c.dmainBw) / cost_->chip().internalBwPerArray
+            - kRateEps));
         mem = std::max<s64>(0, mem);
-        if (mem > cost_->maxUsefulMemoryArrays(w))
+        if (mem > c.maxMemory)
             return n; // M saturates below the needed rate
         n.memoryArrays = mem;
     }
@@ -112,7 +106,7 @@ DualModeAllocator::needsForTarget(const OpWorkload &w, Cycles t,
 
 bool
 DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
-                             SegmentAllocation *out, LpWarmStart *warm) const
+                             SegmentAllocation *out, CallState *call) const
 {
     if (out == nullptr)
         obs::count(obs::Met::kAllocProbes);
@@ -121,21 +115,17 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
     probeSpan.arg("target", t);
     const s64 n_ops = static_cast<s64>(segment.ops.size());
     const s64 n_cim = cost_->chip().numSwitchArrays;
-    const s64 array_bytes = cost_->chip().arrayMemoryBytes();
+    const std::size_t n_edges = segment.edges.size();
+    const std::vector<s64> &caps = call->edgeCaps;
 
-    std::vector<double> shares =
-        options_.pipelined
-            ? CostModel::dmainShares(segment.ops)
-            : std::vector<double>(segment.ops.size(), 1.0);
-
-    std::vector<Needs> needs(static_cast<std::size_t>(n_ops));
-    std::vector<s64> mem_in(static_cast<std::size_t>(n_ops), 0);
-    std::vector<s64> mem_out(static_cast<std::size_t>(n_ops), 0);
+    std::vector<Needs> &needs = call->needs;
+    std::vector<s64> &mem_in = call->memIn;
+    std::vector<s64> &mem_out = call->memOut;
     s64 total = 0;
     for (s64 i = 0; i < n_ops; ++i) {
-        const OpWorkload &w = *segment.ops[static_cast<std::size_t>(i)];
         needs[static_cast<std::size_t>(i)] =
-            needsForTarget(w, t, shares[static_cast<std::size_t>(i)]);
+            needsForTarget(*segment.ops[static_cast<std::size_t>(i)],
+                           call->consts[static_cast<std::size_t>(i)], t);
         if (!needs[static_cast<std::size_t>(i)].feasible)
             return false;
         total += needs[static_cast<std::size_t>(i)].computeArrays
@@ -151,7 +141,8 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
     // answered here returns exactly what the exact solve would, and
     // inconclusive probes fall through to it. Plans are untouched: the
     // allocation-filling call always runs the exact solve.
-    if (out == nullptr && !options_.referenceSearch) {
+    const bool fast_probe = out == nullptr && !options_.referenceSearch;
+    if (fast_probe) {
         if (total <= n_cim) {
             obs::count(obs::Met::kAllocProbeShortcuts);
             return true; // fits with zero reuse; reuse only helps
@@ -161,29 +152,31 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             return false; // no reuse possible, and total > n_cim
         }
         s64 reuse_ub = 0;
-        for (const SegmentView::Edge &e : segment.edges) {
+        for (std::size_t e = 0; e < n_edges; ++e) {
+            const SegmentView::Edge &edge = segment.edges[e];
             reuse_ub += std::min(
-                {ceilDiv(e.bytes, array_bytes),
-                 needs[static_cast<std::size_t>(e.from)].memoryArrays,
-                 needs[static_cast<std::size_t>(e.to)].memoryArrays});
+                {caps[e],
+                 needs[static_cast<std::size_t>(edge.from)].memoryArrays,
+                 needs[static_cast<std::size_t>(edge.to)].memoryArrays});
         }
         if (total - reuse_ub > n_cim) {
             obs::count(obs::Met::kAllocProbeShortcuts);
             return false;
         }
         s64 reuse_lb = 0;
-        std::vector<s64> probe_pool(static_cast<std::size_t>(n_ops));
+        std::vector<s64> &probe_pool = call->pool;
         for (s64 i = 0; i < n_ops; ++i) {
             probe_pool[static_cast<std::size_t>(i)] =
                 needs[static_cast<std::size_t>(i)].memoryArrays;
         }
-        for (const SegmentView::Edge &e : segment.edges) {
-            s64 r = std::min({probe_pool[static_cast<std::size_t>(e.from)],
-                              probe_pool[static_cast<std::size_t>(e.to)],
-                              ceilDiv(e.bytes, array_bytes)});
+        for (std::size_t e = 0; e < n_edges; ++e) {
+            const SegmentView::Edge &edge = segment.edges[e];
+            s64 r = std::min({probe_pool[static_cast<std::size_t>(edge.from)],
+                              probe_pool[static_cast<std::size_t>(edge.to)],
+                              caps[e]});
             reuse_lb += r;
-            probe_pool[static_cast<std::size_t>(e.from)] -= r;
-            probe_pool[static_cast<std::size_t>(e.to)] -= r;
+            probe_pool[static_cast<std::size_t>(edge.from)] -= r;
+            probe_pool[static_cast<std::size_t>(edge.to)] -= r;
         }
         if (total - reuse_lb <= n_cim) {
             obs::count(obs::Met::kAllocProbeShortcuts);
@@ -198,11 +191,30 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
     // split variables join the MIP. Large segments fall back to a
     // greedy pool assignment (the instances the MIP certifies in the
     // tests are exactly the small ones).
+    const bool exact = !segment.edges.empty() && options_.allowMemoryMode
+                    && static_cast<s64>(n_edges) + 2 * n_ops <= 40;
+
+    // A fast probe about to run the exact solve first consults this
+    // call's memo: with the edges fixed, the memory-array vector is the
+    // whole MIP instance, and only its optimum decides a probe.
+    if (fast_probe && exact) {
+        const std::size_t width = static_cast<std::size_t>(n_ops);
+        for (std::size_t m = 0; m < call->memoReuse.size(); ++m) {
+            const s64 *key = call->memoKeys.data() + m * width;
+            std::size_t i = 0;
+            while (i < width && key[i] == needs[i].memoryArrays)
+                ++i;
+            if (i == width)
+                return total - call->memoReuse[m] <= n_cim;
+        }
+    }
+
     s64 reuse_total = 0;
-    std::vector<s64> reuse_edge(segment.edges.size(), 0);
+    std::fill(mem_in.begin(), mem_in.end(), 0);
+    std::fill(mem_out.begin(), mem_out.end(), 0);
     bool need_split = true;
     if (!segment.edges.empty() && options_.allowMemoryMode) {
-        if (static_cast<s64>(segment.edges.size()) + 2 * n_ops <= 40) {
+        if (exact) {
             LinearModel mip;
             std::vector<VarId> in_vars, out_vars, edge_vars;
             for (s64 i = 0; i < n_ops; ++i) {
@@ -216,16 +228,15 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
                 split.add(in_vars.back(), 1.0).add(out_vars.back(), 1.0);
                 mip.addConstraint(split, Rel::kEq, mem);
             }
-            for (const SegmentView::Edge &e : segment.edges) {
-                double cap = static_cast<double>(
-                    ceilDiv(e.bytes, array_bytes));
+            for (std::size_t e = 0; e < n_edges; ++e) {
                 edge_vars.push_back(
-                    mip.addVar("r", 0.0, cap, VarType::kInteger));
+                    mip.addVar("r", 0.0, static_cast<double>(caps[e]),
+                               VarType::kInteger));
             }
             for (s64 i = 0; i < n_ops; ++i) {
                 LinearExpr out_sum, in_sum;
                 bool has_out = false, has_in = false;
-                for (std::size_t e = 0; e < segment.edges.size(); ++e) {
+                for (std::size_t e = 0; e < n_edges; ++e) {
                     if (segment.edges[e].from == i) {
                         out_sum.add(edge_vars[e], 1.0);
                         has_out = true;
@@ -252,9 +263,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             // Warm pivoting only on boolean probes: the filling solve
             // must replay the exact cold pivot path so the chosen
             // reuse splits stay bit-identical to the reference mode.
-            mip_options.warmStart =
-                (out == nullptr && !options_.referenceSearch) ? warm
-                                                              : nullptr;
+            mip_options.warmStart = fast_probe ? &call->warm : nullptr;
             MipResult res = solveMip(mip, mip_options);
             cmswitch_assert(res.status == SolveStatus::kOptimal,
                             "reuse MIP must be feasible");
@@ -268,26 +277,28 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
                     needs[static_cast<std::size_t>(i)].memoryArrays
                     - mem_in[static_cast<std::size_t>(i)];
             }
-            for (std::size_t e = 0; e < segment.edges.size(); ++e) {
-                reuse_edge[e] = static_cast<s64>(std::llround(
-                    res.values[static_cast<std::size_t>(edge_vars[e])]));
+            if (fast_probe) {
+                for (s64 i = 0; i < n_ops; ++i) {
+                    call->memoKeys.push_back(
+                        needs[static_cast<std::size_t>(i)].memoryArrays);
+                }
+                call->memoReuse.push_back(reuse_total);
             }
             need_split = false;
         } else {
             // Greedy pool variant for wide segments: each op exposes
             // its memory arrays as a shared in/out pool; edges claim
             // from both endpoint pools.
-            std::vector<s64> pool(static_cast<std::size_t>(n_ops));
+            std::vector<s64> &pool = call->pool;
             for (s64 i = 0; i < n_ops; ++i) {
                 pool[static_cast<std::size_t>(i)] =
                     needs[static_cast<std::size_t>(i)].memoryArrays;
             }
-            for (std::size_t e = 0; e < segment.edges.size(); ++e) {
+            for (std::size_t e = 0; e < n_edges; ++e) {
                 const SegmentView::Edge &edge = segment.edges[e];
                 s64 r = std::min({pool[static_cast<std::size_t>(edge.from)],
                                   pool[static_cast<std::size_t>(edge.to)],
-                                  ceilDiv(edge.bytes, array_bytes)});
-                reuse_edge[e] = r;
+                                  caps[e]});
                 reuse_total += r;
                 pool[static_cast<std::size_t>(edge.from)] -= r;
                 pool[static_cast<std::size_t>(edge.to)] -= r;
@@ -339,7 +350,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             Cycles l = cost_->opLatency(
                 *segment.ops[static_cast<std::size_t>(i)],
                 out->allocs[static_cast<std::size_t>(i)],
-                shares[static_cast<std::size_t>(i)]);
+                call->shares[static_cast<std::size_t>(i)]);
             worst = std::max(worst, l);
         }
         out->intraLatency = worst;
@@ -368,32 +379,55 @@ DualModeAllocator::allocate(const SegmentView &segment) const
         return allocateSerial(segment);
 
     // Upper bound: minimal allocation (one weight copy, no memory).
-    std::vector<double> shares = CostModel::dmainShares(segment.ops);
+    const std::size_t n_ops = segment.ops.size();
+    CallState call;
+    call.shares = CostModel::dmainShares(segment.ops);
     Cycles ub = 0;
-    for (std::size_t i = 0; i < segment.ops.size(); ++i) {
+    for (std::size_t i = 0; i < n_ops; ++i) {
         OpAllocation minimal;
         minimal.computeArrays = segment.ops[i]->weightTiles;
         ub = std::max(ub, cost_->opLatency(*segment.ops[i], minimal,
-                                           shares[i]));
+                                           call.shares[i]));
     }
     cmswitch_assert(ub < kInfCycles, "minimal allocation must be finite");
 
-    // Every bisection probe builds the same reuse MIP with different
-    // bounds; one warm-start slot carries the basis across all of them.
-    LpWarmStart warm;
+    // Target-independent inputs every probe reads: the per-op constants
+    // of needsForTarget() and the per-edge reuse caps.
+    call.consts.resize(n_ops);
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        const OpWorkload &w = *segment.ops[i];
+        OpConstants &c = call.consts[i];
+        c.fixed = cost_->fixedOverhead(w);
+        if (w.macs > 0) // the only ops needsForTarget() reads it for
+            c.perBundle = cost_->computeRate(w, w.weightTiles);
+        c.memoryFloor = cost_->memoryRate(w, 0, call.shares[i]);
+        c.dmainBw = call.shares[i] * cost_->chip().dMain();
+        c.maxMemory = cost_->maxUsefulMemoryArrays(w);
+        c.dupCap = options_.allowDuplication
+                 ? std::max<s64>(1, w.movingRows)
+                 : 1;
+    }
+    const s64 array_bytes = cost_->chip().arrayMemoryBytes();
+    for (const SegmentView::Edge &e : segment.edges)
+        call.edgeCaps.push_back(ceilDiv(e.bytes, array_bytes));
+    call.needs.resize(n_ops);
+    call.memIn.resize(n_ops);
+    call.memOut.resize(n_ops);
+    call.pool.resize(n_ops);
+
     Cycles lo = 1, hi = ub;
-    cmswitch_assert(tryTarget(segment, ub, nullptr, &warm),
+    cmswitch_assert(tryTarget(segment, ub, nullptr, &call),
                     "upper bound must be feasible");
 
     while (lo < hi) {
         obs::count(obs::Met::kAllocBisectionIters);
         Cycles mid = lo + (hi - lo) / 2;
-        if (tryTarget(segment, mid, nullptr, &warm))
+        if (tryTarget(segment, mid, nullptr, &call))
             hi = mid;
         else
             lo = mid + 1;
     }
-    bool ok = tryTarget(segment, hi, &result, &warm);
+    bool ok = tryTarget(segment, hi, &result, &call);
     cmswitch_assert(ok, "bisection result must be feasible");
     return result;
 }

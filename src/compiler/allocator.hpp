@@ -15,6 +15,17 @@
  * coupling left - maximising producer->consumer buffer reuse so the
  * segment fits the chip (Eqs. 6-8) - is an integer transportation
  * problem solved exactly with the bundled MIP solver.
+ *
+ * One allocate() call evaluates the target-independent part of the
+ * closed form (per-op overhead, base rates, D_main share, caps) once,
+ * and its probes only redo what depends on T. Within the call the
+ * edges are fixed, so a probe's reuse MIP is determined by its per-op
+ * memory-array vector; a probe that reaches the exact solve with a
+ * vector already solved in the call takes the optimum from a memo
+ * instead. The allocation-filling solve never reads the memo. Probe
+ * constants, memo, warm start and scratch all live on allocate()'s
+ * stack, so the allocator stays stateless and one instance can be
+ * shared across threads.
  */
 
 #ifndef CMSWITCH_COMPILER_ALLOCATOR_HPP
@@ -101,6 +112,17 @@ class DualModeAllocator
     const CostModel &cost() const { return *cost_; }
 
   private:
+    /** Target-independent inputs of needsForTarget() for one op. */
+    struct OpConstants
+    {
+        Cycles fixed = 0;         ///< fixedOverhead(w)
+        double perBundle = 0.0;   ///< computeRate(w, w.weightTiles)
+        double memoryFloor = 0.0; ///< memoryRate(w, 0, share)
+        double dmainBw = 0.0;     ///< share * chip.dMain()
+        s64 maxMemory = 0;        ///< maxUsefulMemoryArrays(w)
+        s64 dupCap = 1;           ///< largest duplication multiple
+    };
+
     /** Per-op minimum arrays to reach latency target @p t. */
     struct Needs
     {
@@ -108,15 +130,44 @@ class DualModeAllocator
         s64 computeArrays = 0;
         s64 memoryArrays = 0;
     };
-    Needs needsForTarget(const OpWorkload &w, Cycles t,
-                        double dmain_share) const;
+    Needs needsForTarget(const OpWorkload &w, const OpConstants &c,
+                        Cycles t) const;
 
-    /** Check whether target @p t fits the chip; fills the allocation.
-     *  @p warm carries the reuse MIP's pivoting state across the
-     *  bisection's probes (stack-owned by allocate(), so the allocator
-     *  itself stays stateless and thread-safe). */
+    /**
+     * What one allocate() call owns on its stack and lends to each of
+     * its probes: the per-op constants, the reuse MIP's warm start,
+     * the probe memo and scratch vectors. None of it outlives the
+     * call, so the allocator itself stays stateless and thread-safe.
+     */
+    struct CallState
+    {
+        std::vector<double> shares;      ///< D_main shares, per op
+        std::vector<OpConstants> consts; ///< per op
+        /** Eq. 6 reuse cap of each edge, in arrays. */
+        std::vector<s64> edgeCaps;
+        /** Pivoting state carried across the bisection's reuse MIPs. */
+        LpWarmStart warm;
+        /** Probe memo: the per-op memory-array vectors whose reuse MIP
+         *  this call has solved (n_ops values each, concatenated), and
+         *  the optimal reuse of each. With the edges fixed for the
+         *  call, that vector is the whole MIP instance. */
+        std::vector<s64> memoKeys;
+        std::vector<s64> memoReuse;
+        /** @{ Scratch every probe overwrites. */
+        std::vector<Needs> needs;
+        std::vector<s64> memIn;
+        std::vector<s64> memOut;
+        std::vector<s64> pool;
+        /** @} */
+    };
+
+    /** Check whether target @p t fits the chip; fills the allocation
+     *  when @p out is non-null. @p call is the calling allocate()'s
+     *  own state (constants, memo, warm start, scratch), so probes
+     *  share nothing across calls and the allocator stays stateless
+     *  and thread-safe. */
     bool tryTarget(const SegmentView &segment, Cycles t,
-                   SegmentAllocation *out, LpWarmStart *warm) const;
+                   SegmentAllocation *out, CallState *call) const;
 
     /** Serial-schedule greedy refinement (PUMA-style compilers). */
     SegmentAllocation allocateSerial(const SegmentView &segment) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -389,8 +388,7 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
 
     // Scratch reused across candidate segments.
     std::vector<const OpWorkload *> ws_view;
-    std::vector<std::pair<s64, s64>> crossing; // (producer, bytes), sorted
-    std::vector<s64> crossing_suffix;          // suffix byte sums
+    std::vector<s64> crossing; // bytes into [k, i) by producer, suffix-summed
 
     for (s64 i = 1; i <= n; ++i) {
         obs::count(obs::Met::kDpBoundaries);
@@ -423,33 +421,31 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                                 std::max<s64>(0, inbound));
                 best_prev = -1;
             } else if (!dp[static_cast<std::size_t>(k)].empty()) {
-                // Dependency edges crossing into [k, i) from before k,
-                // sorted by producer with suffix byte sums: the bytes a
-                // predecessor segment [j, k) hands over directly is the
-                // suffix at its start j — an O(log E) probe instead of
-                // the reference's full range walk per predecessor.
-                crossing.clear();
+                // Every state of dp[k] starts inside the DP window
+                // [min_start[k], k), so only edges crossing into [k, i)
+                // from a producer in that window can be handed over
+                // directly. Their bytes, summed per producer and then
+                // suffix-summed, give a predecessor [j, k) its direct
+                // bytes as one lookup at j — the reference walks the
+                // whole range per predecessor instead.
+                const s64 window_lo = min_start[static_cast<std::size_t>(k)];
+                crossing.assign(static_cast<std::size_t>(k - window_lo), 0);
                 for (s64 t = k; t < i; ++t) {
                     const ScheduledOp &op = ops[static_cast<std::size_t>(t)];
                     for (std::size_t e = 0; e < op.preds.size(); ++e) {
-                        if (op.preds[e] < k)
-                            crossing.emplace_back(op.preds[e],
-                                                  op.reuseBytes[e]);
+                        s64 p = op.preds[e];
+                        if (p >= window_lo && p < k) {
+                            crossing[static_cast<std::size_t>(p - window_lo)] +=
+                                op.reuseBytes[e];
+                        }
                     }
                 }
-                std::sort(crossing.begin(), crossing.end());
-                crossing_suffix.assign(crossing.size() + 1, 0);
-                for (std::size_t c = crossing.size(); c-- > 0;)
-                    crossing_suffix[c] =
-                        crossing_suffix[c + 1] + crossing[c].second;
+                for (std::size_t c = crossing.size() - 1; c-- > 0;)
+                    crossing[c] += crossing[c + 1];
 
                 for (const FastState &st : dp[static_cast<std::size_t>(k)]) {
-                    auto from = std::lower_bound(
-                        crossing.begin(), crossing.end(),
-                        std::make_pair(st.start,
-                                       std::numeric_limits<s64>::min()));
-                    s64 direct = crossing_suffix[static_cast<std::size_t>(
-                        from - crossing.begin())];
+                    s64 direct = crossing[static_cast<std::size_t>(
+                        st.start - window_lo)];
                     s64 carry_cap = chip.bufferBytes;
                     if (memory_mode) {
                         carry_cap += std::min(st.memArrays, cur_mem)

@@ -18,9 +18,15 @@
  *    the allocation lookup) out of the predecessor-state scan, carries
  *    each state's write-back aggregates (live-out bytes, memory-array
  *    count) inside the state instead of re-deriving them from segment
- *    allocations, answers boundary-crossing reuse queries from sorted
- *    prefix/suffix byte sums, and keys the per-run range cache with a
- *    flat hash map instead of a red-black tree.
+ *    allocations, answers boundary-crossing reuse queries from one
+ *    array of crossing bytes per producer over the DP window
+ *    [minStart[k], k), suffix-summed so a predecessor's direct bytes
+ *    are one lookup at its start, and keys the per-run range cache
+ *    with a flat hash map instead of a red-black tree. Each candidate's
+ *    allocation comes from DualModeAllocator::allocate(), which hoists
+ *    per-op constants and memoizes repeated probe MIPs within one
+ *    call only, so the allocator stays stateless and shareable across
+ *    threads.
  *  - runDpReference() — the pre-optimization search, kept verbatim
  *    behind SegmenterOptions::referenceSearch. It recomputes every
  *    aggregate per (predecessor, segment) pair. The differential tests

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "compiler/allocator.hpp"
+#include "models/model_zoo.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -197,6 +199,67 @@ TEST(AllocatorSerial, GreedyImprovesOnMinimal)
     for (const OpWorkload &w : ws)
         minimal += cost.opLatency(w, OpAllocation{w.weightTiles, 0, 0});
     EXPECT_LE(a.intraLatency, minimal);
+}
+
+/**
+ * The probe memo: within one allocate() call the edges are fixed, so a
+ * probe whose per-op memory-array vector was already solved exactly
+ * takes the optimum from the memo instead of solving the reuse MIP
+ * again. The segment is layer 0's attention output of opt-6.7b decode
+ * (KV 256, 2 layers) on dynaplasia: ops [68, 75) of the flattened
+ * graph, l0.sv.part0..1 and l0.wo.part0..4. Seven of its bisection
+ * probes reach the exact solve, all with the same memory-array vector.
+ */
+TEST(AllocatorMemo, RepeatedExactProbesSolveOnce)
+{
+    TransformerConfig config = TransformerConfig::opt6_7b();
+    config.layers = 2;
+    Graph graph = buildTransformerDecodeStep(config, 1, 256);
+    Deha deha(ChipConfig::dynaplasia());
+    CostModel cost(deha);
+    PartitionOptions partition;
+    partition.dualModeAware = true;
+    std::vector<ScheduledOp> ops = flattenGraph(graph, deha, partition);
+    ASSERT_GE(ops.size(), 75u);
+    ASSERT_EQ(ops[68].work.name, "l0.sv.part0");
+    ASSERT_EQ(ops[74].work.name, "l0.wo.part4");
+    SegmentView segment = makeSegmentView(ops, 68, 75);
+
+    // Reuse MIPs one allocate() runs: one per exact-solve probe plus
+    // the filling solve without the memo, one per distinct probe
+    // vector plus the filling solve with it.
+    constexpr s64 kSolvesWithoutMemo = 8;
+    constexpr s64 kSolvesWithMemo = 2;
+    static_assert(kSolvesWithMemo < kSolvesWithoutMemo);
+
+    obs::MetricsRegistry registry;
+    obs::install(&registry, nullptr);
+    SegmentAllocation fast =
+        DualModeAllocator(cost, AllocatorOptions{}).allocate(segment);
+    const s64 solves = registry.counter(obs::Met::kMipSolves).get();
+    obs::uninstall();
+    EXPECT_LE(solves, kSolvesWithMemo);
+
+    // The memo changes no verdict, so the bisection lands where the
+    // reference search (every probe solved exactly, no memo) does.
+    AllocatorOptions reference_options;
+    reference_options.referenceSearch = true;
+    SegmentAllocation reference =
+        DualModeAllocator(cost, reference_options).allocate(segment);
+    ASSERT_TRUE(fast.feasible());
+    EXPECT_EQ(fast.intraLatency, reference.intraLatency);
+    EXPECT_EQ(fast.reusedArrays, reference.reusedArrays);
+    EXPECT_EQ(fast.plan.computeArrays, reference.plan.computeArrays);
+    EXPECT_EQ(fast.plan.memoryArrays, reference.plan.memoryArrays);
+    ASSERT_EQ(fast.allocs.size(), reference.allocs.size());
+    for (std::size_t i = 0; i < fast.allocs.size(); ++i) {
+        EXPECT_EQ(fast.allocs[i].computeArrays,
+                  reference.allocs[i].computeArrays) << "op " << i;
+        EXPECT_EQ(fast.allocs[i].memInArrays,
+                  reference.allocs[i].memInArrays) << "op " << i;
+        EXPECT_EQ(fast.allocs[i].memOutArrays,
+                  reference.allocs[i].memOutArrays) << "op " << i;
+    }
 }
 
 } // namespace
