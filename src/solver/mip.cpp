@@ -56,6 +56,45 @@ struct SearchState
     MipResult result;
 };
 
+/** Take the optimal relaxation @p lp of @p node: a new incumbent when
+ *  it is integral, else two children that branch on its most
+ *  fractional integer variable. */
+void
+acceptOrBranch(const LinearModel &model, const MipOptions &options,
+               double dir, const Node &node, const LpSolution &lp,
+               SearchState &state)
+{
+    const double lp_obj = dir * lp.objective;
+    VarId branch = pickBranchVar(model, lp.values, options.intTol);
+    if (branch < 0) {
+        // Integral: new incumbent.
+        MipResult &result = state.result;
+        state.have_incumbent = true;
+        state.incumbent_obj = lp_obj;
+        result.status = SolveStatus::kOptimal;
+        result.objective = lp.objective;
+        result.values = lp.values;
+        // Snap near-integers exactly.
+        for (VarId v = 0; v < model.numVars(); ++v) {
+            if (model.var(v).type == VarType::kInteger) {
+                result.values[static_cast<std::size_t>(v)] =
+                    std::round(result.values[static_cast<std::size_t>(v)]);
+            }
+        }
+        return;
+    }
+
+    double x = lp.values[static_cast<std::size_t>(branch)];
+    Node down = node;
+    down.bound = lp_obj;
+    down.tightened.push_back({branch, {-kInfinity, std::floor(x)}});
+    Node up = node;
+    up.bound = lp_obj;
+    up.tightened.push_back({branch, {std::ceil(x), kInfinity}});
+    state.open.push(std::move(down));
+    state.open.push(std::move(up));
+}
+
 /** Pop-and-branch until the frontier drains or the node budget runs
  *  out. */
 void
@@ -94,39 +133,9 @@ drainBnb(const LinearModel &model, const MipOptions &options, double dir,
         if (lp.status != SolveStatus::kOptimal)
             continue; // infeasible subtree
 
-        double lp_obj = dir * lp.objective;
-        if (lp_obj >= best_known - options.gapAbs)
+        if (dir * lp.objective >= best_known - options.gapAbs)
             continue;
-
-        VarId branch = pickBranchVar(scratch, lp.values, options.intTol);
-        if (branch < 0) {
-            // Integral: new incumbent.
-            state.have_incumbent = true;
-            state.incumbent_obj = lp_obj;
-            result.status = SolveStatus::kOptimal;
-            result.objective = lp.objective;
-            result.values = lp.values;
-            // Snap near-integers exactly.
-            for (VarId v = 0; v < model.numVars(); ++v) {
-                if (model.var(v).type == VarType::kInteger) {
-                    result.values[static_cast<std::size_t>(v)] =
-                        std::round(result.values[static_cast<std::size_t>(v)]);
-                }
-            }
-            continue;
-        }
-
-        double x = lp.values[static_cast<std::size_t>(branch)];
-        Node down = node;
-        down.bound = lp_obj;
-        down.tightened.push_back(
-            {branch, {-kInfinity, std::floor(x)}});
-        Node up = node;
-        up.bound = lp_obj;
-        up.tightened.push_back(
-            {branch, {std::ceil(x), kInfinity}});
-        open.push(std::move(down));
-        open.push(std::move(up));
+        acceptOrBranch(model, options, dir, node, lp, state);
     }
 }
 
@@ -174,7 +183,13 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
                         || model.objective().terms().empty(),
                     "unbounded MIPs are not supported");
 
-    state.open.push(Node{dir * root.objective, {}});
+    // The root is the first node: an integral root is the optimum, a
+    // fractional one branches here instead of being queued and solved
+    // a second time.
+    if (root.status == SolveStatus::kOptimal)
+        acceptOrBranch(model, options, dir, Node{}, root, state);
+    else
+        state.open.push(Node{dir * root.objective, {}});
 
     // One scratch model reused across nodes: a node's bound overrides
     // are applied before its relaxation and rolled back afterwards,

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "obs/obs.hpp"
 #include "solver/mip.hpp"
 #include "support/random.hpp"
 
@@ -72,9 +73,10 @@ TEST(Mip, InfeasibleInteger)
     EXPECT_EQ(solveMip(m).status, SolveStatus::kInfeasible);
 }
 
-TEST(Mip, TransportationIsIntegral)
+/** 2 producers x 2 consumers, maximize shipped subject to caps. */
+LinearModel
+transportationModel()
 {
-    // 2 producers x 2 consumers, maximize shipped subject to caps.
     LinearModel m;
     VarId r00 = m.addVar("r00", 0, 5, VarType::kInteger);
     VarId r01 = m.addVar("r01", 0, 5, VarType::kInteger);
@@ -92,9 +94,30 @@ TEST(Mip, TransportationIsIntegral)
     LinearExpr obj;
     obj.add(r00, 1.0).add(r01, 1.0).add(r10, 1.0).add(r11, 1.0);
     m.setObjective(obj, Sense::kMaximize);
-    MipResult r = solveMip(m);
+    return m;
+}
+
+TEST(Mip, TransportationIsIntegral)
+{
+    MipResult r = solveMip(transportationModel());
     ASSERT_EQ(r.status, SolveStatus::kOptimal);
     EXPECT_NEAR(r.objective, 7.0, 1e-6); // min(supply 7, demand 8)
+}
+
+TEST(Mip, IntegralRootIsSolvedOnce)
+{
+    // The transportation relaxation has an integral optimal vertex, so
+    // the root is the whole search: one node and one LP, not a root
+    // solve followed by the same LP again as the first queued node.
+    obs::MetricsRegistry registry;
+    obs::install(&registry, nullptr);
+    MipResult r = solveMip(transportationModel());
+    const s64 lp_solves = registry.counter(obs::Met::kLpSolves).get();
+    obs::uninstall();
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(r.objective, 7.0, 1e-6);
+    EXPECT_EQ(r.nodesExplored, 1);
+    EXPECT_EQ(lp_solves, 1);
 }
 
 /**
