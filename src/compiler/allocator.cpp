@@ -104,295 +104,37 @@ DualModeAllocator::needsForTarget(const OpWorkload &w, const OpConstants &c,
     return n;
 }
 
-bool
-DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
-                             SegmentAllocation *out, CallState *call) const
+const s64 *
+DualModeAllocator::CallState::memoFind() const
 {
-    if (out == nullptr)
-        obs::count(obs::Met::kAllocProbes);
-    obs::Span probeSpan(out == nullptr ? "alloc.probe" : "alloc.fill",
-                        "allocator");
-    probeSpan.arg("target", t);
-    const s64 n_ops = static_cast<s64>(segment.ops.size());
-    const s64 n_cim = cost_->chip().numSwitchArrays;
-    const std::size_t n_edges = segment.edges.size();
-    const std::vector<s64> &caps = call->edgeCaps;
-
-    std::vector<Needs> &needs = call->needs;
-    std::vector<s64> &mem_in = call->memIn;
-    std::vector<s64> &mem_out = call->memOut;
-    s64 total = 0;
-    for (s64 i = 0; i < n_ops; ++i) {
-        needs[static_cast<std::size_t>(i)] =
-            needsForTarget(*segment.ops[static_cast<std::size_t>(i)],
-                           call->consts[static_cast<std::size_t>(i)], t);
-        if (!needs[static_cast<std::size_t>(i)].feasible)
-            return false;
-        total += needs[static_cast<std::size_t>(i)].computeArrays
-               + needs[static_cast<std::size_t>(i)].memoryArrays;
+    const std::size_t width = needs.size();
+    for (std::size_t m = 0; m < memoReuse.size(); ++m) {
+        const s64 *key = memoKeys.data() + m * width;
+        std::size_t i = 0;
+        while (i < width && key[i] == needs[i].memoryArrays)
+            ++i;
+        if (i == width)
+            return &memoReuse[m];
     }
-
-    // Boolean-only probes (the latency bisection passes out ==
-    // nullptr) only need to know whether the packed segment fits
-    // (Eq. 8); cheap reuse bounds usually decide that without the
-    // exact maximisation below. Both bounds are conservative — the
-    // greedy pool assignment is a feasible reuse (lower bound), the
-    // per-edge cap sum ignores pool sharing (upper bound) — so a probe
-    // answered here returns exactly what the exact solve would, and
-    // inconclusive probes fall through to it. Plans are untouched: the
-    // allocation-filling call always runs the exact solve.
-    const bool fast_probe = out == nullptr && !options_.referenceSearch;
-    if (fast_probe) {
-        if (total <= n_cim) {
-            obs::count(obs::Met::kAllocProbeShortcuts);
-            return true; // fits with zero reuse; reuse only helps
-        }
-        if (segment.edges.empty() || !options_.allowMemoryMode) {
-            obs::count(obs::Met::kAllocProbeShortcuts);
-            return false; // no reuse possible, and total > n_cim
-        }
-        s64 reuse_ub = 0;
-        for (std::size_t e = 0; e < n_edges; ++e) {
-            const SegmentView::Edge &edge = segment.edges[e];
-            reuse_ub += std::min(
-                {caps[e],
-                 needs[static_cast<std::size_t>(edge.from)].memoryArrays,
-                 needs[static_cast<std::size_t>(edge.to)].memoryArrays});
-        }
-        if (total - reuse_ub > n_cim) {
-            obs::count(obs::Met::kAllocProbeShortcuts);
-            return false;
-        }
-        s64 reuse_lb = 0;
-        std::vector<s64> &probe_pool = call->pool;
-        for (s64 i = 0; i < n_ops; ++i) {
-            probe_pool[static_cast<std::size_t>(i)] =
-                needs[static_cast<std::size_t>(i)].memoryArrays;
-        }
-        for (std::size_t e = 0; e < n_edges; ++e) {
-            const SegmentView::Edge &edge = segment.edges[e];
-            s64 r = std::min({probe_pool[static_cast<std::size_t>(edge.from)],
-                              probe_pool[static_cast<std::size_t>(edge.to)],
-                              caps[e]});
-            reuse_lb += r;
-            probe_pool[static_cast<std::size_t>(edge.from)] -= r;
-            probe_pool[static_cast<std::size_t>(edge.to)] -= r;
-        }
-        if (total - reuse_lb <= n_cim) {
-            obs::count(obs::Met::kAllocProbeShortcuts);
-            return true;
-        }
-        // Inconclusive: fall through to the exact reuse solve.
-    }
-
-    // Maximise Eq. 6 reuse so the packed segment fits (Eq. 8). Each
-    // op's memory arrays split freely between input and output buffer
-    // roles (Eq. 5: a given array plays exactly one role), so the
-    // split variables join the MIP. Large segments fall back to a
-    // greedy pool assignment (the instances the MIP certifies in the
-    // tests are exactly the small ones).
-    const bool exact = !segment.edges.empty() && options_.allowMemoryMode
-                    && static_cast<s64>(n_edges) + 2 * n_ops <= 40;
-
-    // A fast probe about to run the exact solve first consults this
-    // call's memo: with the edges fixed, the memory-array vector is the
-    // whole MIP instance, and only its optimum decides a probe.
-    if (fast_probe && exact) {
-        const std::size_t width = static_cast<std::size_t>(n_ops);
-        for (std::size_t m = 0; m < call->memoReuse.size(); ++m) {
-            const s64 *key = call->memoKeys.data() + m * width;
-            std::size_t i = 0;
-            while (i < width && key[i] == needs[i].memoryArrays)
-                ++i;
-            if (i == width)
-                return total - call->memoReuse[m] <= n_cim;
-        }
-    }
-
-    s64 reuse_total = 0;
-    std::fill(mem_in.begin(), mem_in.end(), 0);
-    std::fill(mem_out.begin(), mem_out.end(), 0);
-    bool need_split = true;
-    if (!segment.edges.empty() && options_.allowMemoryMode) {
-        if (exact) {
-            LinearModel mip;
-            std::vector<VarId> in_vars, out_vars, edge_vars;
-            for (s64 i = 0; i < n_ops; ++i) {
-                double mem = static_cast<double>(
-                    needs[static_cast<std::size_t>(i)].memoryArrays);
-                in_vars.push_back(
-                    mip.addVar("min", 0.0, mem, VarType::kInteger));
-                out_vars.push_back(
-                    mip.addVar("mout", 0.0, mem, VarType::kInteger));
-                LinearExpr split;
-                split.add(in_vars.back(), 1.0).add(out_vars.back(), 1.0);
-                mip.addConstraint(split, Rel::kEq, mem);
-            }
-            for (std::size_t e = 0; e < n_edges; ++e) {
-                edge_vars.push_back(
-                    mip.addVar("r", 0.0, static_cast<double>(caps[e]),
-                               VarType::kInteger));
-            }
-            for (s64 i = 0; i < n_ops; ++i) {
-                LinearExpr out_sum, in_sum;
-                bool has_out = false, has_in = false;
-                for (std::size_t e = 0; e < n_edges; ++e) {
-                    if (segment.edges[e].from == i) {
-                        out_sum.add(edge_vars[e], 1.0);
-                        has_out = true;
-                    }
-                    if (segment.edges[e].to == i) {
-                        in_sum.add(edge_vars[e], 1.0);
-                        has_in = true;
-                    }
-                }
-                if (has_out) {
-                    out_sum.add(out_vars[static_cast<std::size_t>(i)], -1.0);
-                    mip.addConstraint(out_sum, Rel::kLe, 0.0);
-                }
-                if (has_in) {
-                    in_sum.add(in_vars[static_cast<std::size_t>(i)], -1.0);
-                    mip.addConstraint(in_sum, Rel::kLe, 0.0);
-                }
-            }
-            LinearExpr objective;
-            for (VarId v : edge_vars)
-                objective.add(v, 1.0);
-            mip.setObjective(objective, Sense::kMaximize);
-            MipOptions mip_options;
-            // Warm pivoting only on boolean probes: the filling solve
-            // must replay the exact cold pivot path so the chosen
-            // reuse splits stay bit-identical to the reference mode.
-            mip_options.warmStart = fast_probe ? &call->warm : nullptr;
-            MipResult res = solveMip(mip, mip_options);
-            cmswitch_assert(res.status == SolveStatus::kOptimal,
-                            "reuse MIP must be feasible");
-            reuse_total = static_cast<s64>(std::llround(res.objective));
-            for (s64 i = 0; i < n_ops; ++i) {
-                mem_in[static_cast<std::size_t>(i)] =
-                    static_cast<s64>(std::llround(
-                        res.values[static_cast<std::size_t>(in_vars
-                            [static_cast<std::size_t>(i)])]));
-                mem_out[static_cast<std::size_t>(i)] =
-                    needs[static_cast<std::size_t>(i)].memoryArrays
-                    - mem_in[static_cast<std::size_t>(i)];
-            }
-            if (fast_probe) {
-                for (s64 i = 0; i < n_ops; ++i) {
-                    call->memoKeys.push_back(
-                        needs[static_cast<std::size_t>(i)].memoryArrays);
-                }
-                call->memoReuse.push_back(reuse_total);
-            }
-            need_split = false;
-        } else {
-            // Greedy pool variant for wide segments: each op exposes
-            // its memory arrays as a shared in/out pool; edges claim
-            // from both endpoint pools.
-            std::vector<s64> &pool = call->pool;
-            for (s64 i = 0; i < n_ops; ++i) {
-                pool[static_cast<std::size_t>(i)] =
-                    needs[static_cast<std::size_t>(i)].memoryArrays;
-            }
-            for (std::size_t e = 0; e < n_edges; ++e) {
-                const SegmentView::Edge &edge = segment.edges[e];
-                s64 r = std::min({pool[static_cast<std::size_t>(edge.from)],
-                                  pool[static_cast<std::size_t>(edge.to)],
-                                  caps[e]});
-                reuse_total += r;
-                pool[static_cast<std::size_t>(edge.from)] -= r;
-                pool[static_cast<std::size_t>(edge.to)] -= r;
-                mem_out[static_cast<std::size_t>(edge.from)] += r;
-                mem_in[static_cast<std::size_t>(edge.to)] += r;
-            }
-            // Remaining pool arrays: split by byte ratio.
-            for (s64 i = 0; i < n_ops; ++i) {
-                s64 mi, mo;
-                splitMemory(*segment.ops[static_cast<std::size_t>(i)],
-                            pool[static_cast<std::size_t>(i)], &mi, &mo);
-                mem_in[static_cast<std::size_t>(i)] += mi;
-                mem_out[static_cast<std::size_t>(i)] += mo;
-            }
-            need_split = false;
-        }
-    }
-    if (need_split) {
-        for (s64 i = 0; i < n_ops; ++i) {
-            splitMemory(*segment.ops[static_cast<std::size_t>(i)],
-                        needs[static_cast<std::size_t>(i)].memoryArrays,
-                        &mem_in[static_cast<std::size_t>(i)],
-                        &mem_out[static_cast<std::size_t>(i)]);
-        }
-    }
-
-    if (total - reuse_total > n_cim)
-        return false;
-
-    if (out) {
-        out->allocs.clear();
-        for (s64 i = 0; i < n_ops; ++i) {
-            OpAllocation a;
-            a.computeArrays = needs[static_cast<std::size_t>(i)].computeArrays;
-            a.memInArrays = mem_in[static_cast<std::size_t>(i)];
-            a.memOutArrays = mem_out[static_cast<std::size_t>(i)];
-            out->allocs.push_back(a);
-        }
-        out->reusedArrays = reuse_total;
-        out->plan.computeArrays = 0;
-        out->plan.memoryArrays = 0;
-        for (const OpAllocation &a : out->allocs) {
-            out->plan.computeArrays += a.computeArrays;
-            out->plan.memoryArrays += a.memoryArrays();
-        }
-        out->plan.memoryArrays -= reuse_total;
-        Cycles worst = 0;
-        for (s64 i = 0; i < n_ops; ++i) {
-            Cycles l = cost_->opLatency(
-                *segment.ops[static_cast<std::size_t>(i)],
-                out->allocs[static_cast<std::size_t>(i)],
-                call->shares[static_cast<std::size_t>(i)]);
-            worst = std::max(worst, l);
-        }
-        out->intraLatency = worst;
-    }
-    return true;
+    return nullptr;
 }
 
-SegmentAllocation
-DualModeAllocator::allocate(const SegmentView &segment) const
+void
+DualModeAllocator::CallState::memoStore(s64 reuse)
 {
-    obs::ScopedPhase phase(obs::Hist::kPhaseAllocate, "alloc.allocate",
-                           "allocator");
-    phase.arg("ops", static_cast<s64>(segment.ops.size()));
-    obs::count(obs::Met::kAllocRuns);
-    SegmentAllocation result;
-    if (segment.ops.empty())
-        return result;
+    for (const Needs &n : needs)
+        memoKeys.push_back(n.memoryArrays);
+    memoReuse.push_back(reuse);
+}
 
-    s64 tiles_total = 0;
-    for (const OpWorkload *w : segment.ops)
-        tiles_total += w->weightTiles;
-    if (tiles_total > cost_->chip().numSwitchArrays)
-        return result; // cannot even hold one copy of the weights
-
-    if (!options_.pipelined)
-        return allocateSerial(segment);
-
-    // Upper bound: minimal allocation (one weight copy, no memory).
+DualModeAllocator::CallState
+DualModeAllocator::prepare(const SegmentView &segment) const
+{
+    // Target-independent inputs every probe reads: the per-op constants
+    // of needsForTarget() and the per-edge reuse caps.
     const std::size_t n_ops = segment.ops.size();
     CallState call;
     call.shares = CostModel::dmainShares(segment.ops);
-    Cycles ub = 0;
-    for (std::size_t i = 0; i < n_ops; ++i) {
-        OpAllocation minimal;
-        minimal.computeArrays = segment.ops[i]->weightTiles;
-        ub = std::max(ub, cost_->opLatency(*segment.ops[i], minimal,
-                                           call.shares[i]));
-    }
-    cmswitch_assert(ub < kInfCycles, "minimal allocation must be finite");
-
-    // Target-independent inputs every probe reads: the per-op constants
-    // of needsForTarget() and the per-edge reuse caps.
     call.consts.resize(n_ops);
     for (std::size_t i = 0; i < n_ops; ++i) {
         const OpWorkload &w = *segment.ops[i];
@@ -414,6 +156,353 @@ DualModeAllocator::allocate(const SegmentView &segment) const
     call.memIn.resize(n_ops);
     call.memOut.resize(n_ops);
     call.pool.resize(n_ops);
+    call.incident.resize(n_ops);
+    return call;
+}
+
+bool
+DualModeAllocator::needsAt(const SegmentView &segment, Cycles t,
+                           CallState *call, s64 *total) const
+{
+    *total = 0;
+    for (std::size_t i = 0; i < segment.ops.size(); ++i) {
+        Needs &n = call->needs[i];
+        n = needsForTarget(*segment.ops[i], call->consts[i], t);
+        if (!n.feasible)
+            return false;
+        *total += n.computeArrays + n.memoryArrays;
+    }
+    return true;
+}
+
+bool
+DualModeAllocator::solvesExactly(const SegmentView &segment) const
+{
+    // Large segments fall back to a greedy pool assignment (the
+    // instances the MIP certifies in the tests are exactly the small
+    // ones).
+    return !segment.edges.empty() && options_.allowMemoryMode
+        && static_cast<s64>(segment.edges.size())
+                   + 2 * static_cast<s64>(segment.ops.size())
+               <= 40;
+}
+
+s64
+DualModeAllocator::reuseUpperBound(const SegmentView &segment,
+                                   CallState *call) const
+{
+    // An edge reuses at most its cap and the memory arrays of either
+    // end. Summed per edge, that ignores pool sharing; summed per op
+    // and clipped to the op's memory arrays, it is the vertex bound,
+    // which counts each edge at both ends.
+    const std::vector<Needs> &needs = call->needs;
+    std::vector<s64> &incident = call->incident;
+    std::fill(incident.begin(), incident.end(), 0);
+    s64 per_edge = 0;
+    for (std::size_t e = 0; e < segment.edges.size(); ++e) {
+        const auto from = static_cast<std::size_t>(segment.edges[e].from);
+        const auto to = static_cast<std::size_t>(segment.edges[e].to);
+        const s64 bound = std::min({call->edgeCaps[e],
+                                    needs[from].memoryArrays,
+                                    needs[to].memoryArrays});
+        per_edge += bound;
+        incident[from] += bound;
+        incident[to] += bound;
+    }
+    s64 per_op = 0;
+    for (std::size_t i = 0; i < needs.size(); ++i)
+        per_op += std::min(needs[i].memoryArrays, incident[i]);
+    return std::min(per_edge, per_op / 2);
+}
+
+s64
+DualModeAllocator::greedyReuse(const SegmentView &segment,
+                               CallState *call) const
+{
+    // Each op exposes its memory arrays as a shared in/out pool; edges
+    // claim from both endpoint pools. Any such claim is a feasible
+    // reuse of the MIP below.
+    std::vector<s64> &pool = call->pool;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        pool[i] = call->needs[i].memoryArrays;
+        call->memIn[i] = 0;
+        call->memOut[i] = 0;
+    }
+    s64 reuse = 0;
+    for (std::size_t e = 0; e < segment.edges.size(); ++e) {
+        const auto from = static_cast<std::size_t>(segment.edges[e].from);
+        const auto to = static_cast<std::size_t>(segment.edges[e].to);
+        s64 r = std::min({pool[from], pool[to], call->edgeCaps[e]});
+        reuse += r;
+        pool[from] -= r;
+        pool[to] -= r;
+        call->memOut[from] += r;
+        call->memIn[to] += r;
+    }
+    return reuse;
+}
+
+s64
+DualModeAllocator::exactReuse(const SegmentView &segment, CallState *call,
+                              LpWarmStart *warm) const
+{
+    // Each op's memory arrays split freely between input and output
+    // buffer roles (Eq. 5: a given array plays exactly one role), so
+    // the split variables join the MIP.
+    const s64 n_ops = static_cast<s64>(segment.ops.size());
+    const std::size_t n_edges = segment.edges.size();
+    const std::vector<Needs> &needs = call->needs;
+    LinearModel mip;
+    std::vector<VarId> in_vars, out_vars, edge_vars;
+    for (s64 i = 0; i < n_ops; ++i) {
+        double mem = static_cast<double>(
+            needs[static_cast<std::size_t>(i)].memoryArrays);
+        in_vars.push_back(mip.addVar("min", 0.0, mem, VarType::kInteger));
+        out_vars.push_back(mip.addVar("mout", 0.0, mem, VarType::kInteger));
+        LinearExpr split;
+        split.add(in_vars.back(), 1.0).add(out_vars.back(), 1.0);
+        mip.addConstraint(split, Rel::kEq, mem);
+    }
+    for (std::size_t e = 0; e < n_edges; ++e) {
+        edge_vars.push_back(
+            mip.addVar("r", 0.0, static_cast<double>(call->edgeCaps[e]),
+                       VarType::kInteger));
+    }
+    for (s64 i = 0; i < n_ops; ++i) {
+        LinearExpr out_sum, in_sum;
+        bool has_out = false, has_in = false;
+        for (std::size_t e = 0; e < n_edges; ++e) {
+            if (segment.edges[e].from == i) {
+                out_sum.add(edge_vars[e], 1.0);
+                has_out = true;
+            }
+            if (segment.edges[e].to == i) {
+                in_sum.add(edge_vars[e], 1.0);
+                has_in = true;
+            }
+        }
+        if (has_out) {
+            out_sum.add(out_vars[static_cast<std::size_t>(i)], -1.0);
+            mip.addConstraint(out_sum, Rel::kLe, 0.0);
+        }
+        if (has_in) {
+            in_sum.add(in_vars[static_cast<std::size_t>(i)], -1.0);
+            mip.addConstraint(in_sum, Rel::kLe, 0.0);
+        }
+    }
+    LinearExpr objective;
+    for (VarId v : edge_vars)
+        objective.add(v, 1.0);
+    mip.setObjective(objective, Sense::kMaximize);
+    MipOptions mip_options;
+    mip_options.warmStart = warm;
+    MipResult res = solveMip(mip, mip_options);
+    cmswitch_assert(res.status == SolveStatus::kOptimal,
+                    "reuse MIP must be feasible");
+    for (s64 i = 0; i < n_ops; ++i) {
+        const auto op = static_cast<std::size_t>(i);
+        call->memIn[op] = static_cast<s64>(std::llround(
+            res.values[static_cast<std::size_t>(in_vars[op])]));
+        call->memOut[op] = needs[op].memoryArrays - call->memIn[op];
+    }
+    return static_cast<s64>(std::llround(res.objective));
+}
+
+s64
+DualModeAllocator::pricedReuse(const SegmentView &segment,
+                               CallState *call) const
+{
+    // The optimum the filling solve reaches, by the first rule that
+    // decides it. Every rule is exact, so the priced totals are the
+    // filled ones.
+    if (segment.edges.empty() || !options_.allowMemoryMode)
+        return 0;
+    const s64 greedy = greedyReuse(segment, call);
+    if (!solvesExactly(segment))
+        return greedy; // what the fill computes for a wide segment
+    if (greedy == reuseUpperBound(segment, call))
+        return greedy;
+    if (const s64 *memo = call->memoFind())
+        return *memo;
+    return exactReuse(segment, call, &call->warm);
+}
+
+void
+DualModeAllocator::writeAllocation(const SegmentView &segment, s64 reuse,
+                                   const CallState &call,
+                                   SegmentAllocation *out) const
+{
+    const std::size_t n_ops = segment.ops.size();
+    out->allocs.clear();
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        OpAllocation a;
+        a.computeArrays = call.needs[i].computeArrays;
+        a.memInArrays = call.memIn[i];
+        a.memOutArrays = call.memOut[i];
+        out->allocs.push_back(a);
+    }
+    out->reusedArrays = reuse;
+    out->plan.computeArrays = 0;
+    out->plan.memoryArrays = 0;
+    for (const OpAllocation &a : out->allocs) {
+        out->plan.computeArrays += a.computeArrays;
+        out->plan.memoryArrays += a.memoryArrays();
+    }
+    out->plan.memoryArrays -= reuse;
+    // opLatency reads only the memory-array total of an op, never its
+    // split, so a priced allocation has its filled latency.
+    Cycles worst = 0;
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        worst = std::max(worst, cost_->opLatency(*segment.ops[i],
+                                                 out->allocs[i],
+                                                 call.shares[i]));
+    }
+    out->intraLatency = worst;
+}
+
+bool
+DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
+                             SegmentAllocation *out, CallState *call) const
+{
+    if (out == nullptr)
+        obs::count(obs::Met::kAllocProbes);
+    obs::Span probeSpan(out == nullptr ? "alloc.probe" : "alloc.fill",
+                        "allocator");
+    probeSpan.arg("target", t);
+    const s64 n_cim = cost_->chip().numSwitchArrays;
+    s64 total = 0;
+    if (!needsAt(segment, t, call, &total))
+        return false;
+
+    // Boolean-only probes (the latency bisection passes out ==
+    // nullptr) only need to know whether the packed segment fits
+    // (Eq. 8); the reuse bounds usually decide that without the exact
+    // maximisation below. Both are conservative, so a probe answered
+    // here returns exactly what the exact solve would, and inconclusive
+    // probes fall through to it. Plans are untouched: the
+    // allocation-filling call always runs the exact solve.
+    const bool fast_probe = out == nullptr && !options_.referenceSearch;
+    const bool reuse_possible =
+        !segment.edges.empty() && options_.allowMemoryMode;
+    if (fast_probe) {
+        if (total <= n_cim) {
+            obs::count(obs::Met::kAllocProbeShortcuts);
+            return true; // fits with zero reuse; reuse only helps
+        }
+        if (!reuse_possible) {
+            obs::count(obs::Met::kAllocProbeShortcuts);
+            return false; // no reuse possible, and total > n_cim
+        }
+        if (total - reuseUpperBound(segment, call) > n_cim) {
+            obs::count(obs::Met::kAllocProbeShortcuts);
+            return false;
+        }
+        if (total - greedyReuse(segment, call) <= n_cim) {
+            obs::count(obs::Met::kAllocProbeShortcuts);
+            return true;
+        }
+        // Inconclusive. With the edges fixed for the call, the
+        // memory-array vector is the whole MIP instance, and only its
+        // optimum decides a probe: take it from the memo if this call
+        // solved the same vector before.
+        if (solvesExactly(segment)) {
+            if (const s64 *memo = call->memoFind())
+                return total - *memo <= n_cim;
+        }
+    }
+
+    // Maximise Eq. 6 reuse so the packed segment fits (Eq. 8).
+    s64 reuse_total = 0;
+    if (!reuse_possible) {
+        for (std::size_t i = 0; i < segment.ops.size(); ++i) {
+            splitMemory(*segment.ops[i], call->needs[i].memoryArrays,
+                        &call->memIn[i], &call->memOut[i]);
+        }
+    } else if (solvesExactly(segment)) {
+        // Warm pivoting only on boolean probes: the filling solve must
+        // replay the exact cold pivot path so the chosen reuse splits
+        // stay bit-identical to the reference mode.
+        reuse_total = exactReuse(segment, call,
+                                 fast_probe ? &call->warm : nullptr);
+        if (fast_probe)
+            call->memoStore(reuse_total);
+    } else {
+        reuse_total = greedyReuse(segment, call);
+        // Remaining pool arrays: split by byte ratio.
+        for (std::size_t i = 0; i < segment.ops.size(); ++i) {
+            s64 mi, mo;
+            splitMemory(*segment.ops[i], call->pool[i], &mi, &mo);
+            call->memIn[i] += mi;
+            call->memOut[i] += mo;
+        }
+    }
+
+    if (total - reuse_total > n_cim)
+        return false;
+    if (out)
+        writeAllocation(segment, reuse_total, *call, out);
+    return true;
+}
+
+SegmentAllocation
+DualModeAllocator::allocate(const SegmentView &segment) const
+{
+    return search(segment, true);
+}
+
+SegmentAllocation
+DualModeAllocator::price(const SegmentView &segment) const
+{
+    // The reference search fills eagerly, as it did before the price
+    // step existed.
+    return search(segment, options_.referenceSearch);
+}
+
+void
+DualModeAllocator::fill(const SegmentView &segment,
+                        SegmentAllocation *alloc) const
+{
+    if (!alloc->needsFill())
+        return;
+    CallState call = prepare(segment);
+    const s64 priced_reuse = alloc->reusedArrays;
+    bool ok = tryTarget(segment, alloc->fillTarget, alloc, &call);
+    cmswitch_assert(ok && alloc->reusedArrays == priced_reuse,
+                    "the filling solve must reach the priced reuse");
+    alloc->fillTarget = 0;
+}
+
+SegmentAllocation
+DualModeAllocator::search(const SegmentView &segment, bool fill) const
+{
+    obs::ScopedPhase phase(obs::Hist::kPhaseAllocate, "alloc.allocate",
+                           "allocator");
+    phase.arg("ops", static_cast<s64>(segment.ops.size()));
+    obs::count(obs::Met::kAllocRuns);
+    SegmentAllocation result;
+    if (segment.ops.empty())
+        return result;
+
+    s64 tiles_total = 0;
+    for (const OpWorkload *w : segment.ops)
+        tiles_total += w->weightTiles;
+    if (tiles_total > cost_->chip().numSwitchArrays)
+        return result; // cannot even hold one copy of the weights
+
+    if (!options_.pipelined)
+        return allocateSerial(segment);
+
+    // Upper bound: minimal allocation (one weight copy, no memory).
+    const std::size_t n_ops = segment.ops.size();
+    CallState call = prepare(segment);
+    Cycles ub = 0;
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        OpAllocation minimal;
+        minimal.computeArrays = segment.ops[i]->weightTiles;
+        ub = std::max(ub, cost_->opLatency(*segment.ops[i], minimal,
+                                           call.shares[i]));
+    }
+    cmswitch_assert(ub < kInfCycles, "minimal allocation must be finite");
 
     Cycles lo = 1, hi = ub;
     cmswitch_assert(tryTarget(segment, ub, nullptr, &call),
@@ -427,8 +516,26 @@ DualModeAllocator::allocate(const SegmentView &segment) const
         else
             lo = mid + 1;
     }
-    bool ok = tryTarget(segment, hi, &result, &call);
+    if (fill) {
+        bool ok = tryTarget(segment, hi, &result, &call);
+        cmswitch_assert(ok, "bisection result must be feasible");
+        return result;
+    }
+
+    // Price step: the totals the fill reaches at hi, with each op's
+    // memory arrays left unsplit in memOutArrays.
+    s64 total = 0;
+    bool ok = needsAt(segment, hi, &call, &total);
     cmswitch_assert(ok, "bisection result must be feasible");
+    const s64 reuse = pricedReuse(segment, &call);
+    cmswitch_assert(total - reuse <= cost_->chip().numSwitchArrays,
+                    "bisection result must fit the chip");
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        call.memIn[i] = 0;
+        call.memOut[i] = call.needs[i].memoryArrays;
+    }
+    writeAllocation(segment, reuse, call, &result);
+    result.fillTarget = hi;
     return result;
 }
 

@@ -74,13 +74,13 @@ Segmenter::Segmenter(const CostModel &cost, SegmenterOptions options)
 {
 }
 
-const SegmentAllocation &
+SegmentAllocation &
 Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
                              s64 hi)
 {
     // Fast path: this exact range was priced before in this run.
     s64 range_key = lo * (static_cast<s64>(ops.size()) + 1) + hi;
-    if (const SegmentAllocation **found = rangeCache_.find(range_key)) {
+    if (SegmentAllocation **found = rangeCache_.find(range_key)) {
         ++cacheHits_;
         return **found;
     }
@@ -113,7 +113,7 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
         ++cacheMisses_;
         it = cache_
                  .emplace(std::move(key),
-                          allocator_.allocate(makeSegmentView(ops, lo, hi)))
+                          allocator_.price(makeSegmentView(ops, lo, hi)))
                  .first;
     }
     rangeCache_.insert(range_key, &it->second);
@@ -124,6 +124,17 @@ SegmentAllocation
 Segmenter::allocateCached(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi)
 {
     return allocateCachedRef(ops, lo, hi);
+}
+
+const SegmentAllocation &
+Segmenter::filledAllocation(const std::vector<ScheduledOp> &ops, s64 lo,
+                            s64 hi)
+{
+    // Every range of one signature shares the cache entry, so the first
+    // fill serves every later range of that shape.
+    SegmentAllocation &entry = allocateCachedRef(ops, lo, hi);
+    allocator_.fill(makeSegmentView(ops, lo, hi), &entry);
+    return entry;
 }
 
 const SegmentAllocation &
@@ -141,7 +152,7 @@ Segmenter::allocationForRange(const std::vector<ScheduledOp> &ops, s64 lo,
             opSig_.push_back(opSignature(op.work));
         cachedOps_ = ops.data();
     }
-    return allocateCachedRef(ops, lo, hi);
+    return filledAllocation(ops, lo, hi);
 }
 
 s64
@@ -614,9 +625,11 @@ Segmenter::finalize(const std::vector<ScheduledOp> &ops,
         SegmentDecision d;
         d.lo = lo;
         d.hi = hi;
-        d.alloc = allocateCached(ops, lo, hi);
+        d.alloc = filledAllocation(ops, lo, hi);
         if (!d.alloc.feasible())
             return ScheduleResult{};
+        cmswitch_assert(!d.alloc.needsFill(),
+                        "an unsplit allocation must not reach codegen");
         interCost(ops, prev, prev_lo, lo, hi, d.alloc, phys_compute, &d);
 
         result.latency.intra += d.alloc.intraLatency;

@@ -121,10 +121,11 @@ class Segmenter
     /**
      * The cached allocation for segment [lo, hi), computing (and
      * memoising) it on first touch — the same lookup every search path
-     * performs. Public so the property tests can pin cache-hit results
-     * against freshly recomputed allocations. Only valid for the ops
-     * list of the current/most recent run() (the range cache is keyed
-     * by position).
+     * performs — and filling its memory split in place, as finalize()
+     * does for the chosen segments. Public so the property tests can
+     * pin cache-hit results against freshly recomputed allocations.
+     * Only valid for the ops list of the current/most recent run() (the
+     * range cache is keyed by position).
      */
     const SegmentAllocation &
     allocationForRange(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi);
@@ -139,13 +140,19 @@ class Segmenter
     static constexpr s64 kMaxOps = 3037000498;
 
   private:
-    /** @copydoc allocationForRange (internal reference-returning form) */
-    const SegmentAllocation &
+    /** The signature-cache entry of [lo, hi), priced on first touch
+     *  (DualModeAllocator::price()): what the searches read. */
+    SegmentAllocation &
     allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi);
 
-    /** Value-returning wrapper kept for the reference/greedy paths. */
+    /** Value-returning wrapper kept for the reference path. */
     SegmentAllocation allocateCached(const std::vector<ScheduledOp> &ops,
                                      s64 lo, s64 hi);
+
+    /** The cache entry of [lo, hi), its memory split filled in place
+     *  on first use (DualModeAllocator::fill()). */
+    const SegmentAllocation &
+    filledAllocation(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi);
 
     /** Bytes produced in [lo,hi) and consumed at/after @p boundary. */
     s64 liveOutBytes(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi,
@@ -186,7 +193,7 @@ class Segmenter
 
     /** @{ Per-run acceleration structures (rebuilt by run()). */
     /** key lo * (n+1) + hi -> allocation in cache_ */
-    FlatRangeMap<const SegmentAllocation *> rangeCache_;
+    FlatRangeMap<SegmentAllocation *> rangeCache_;
     std::vector<s64> lastConsumer_;  ///< per op: max consumer index or -1
     std::vector<s64> maxEdgeBytes_;  ///< per op: widest outgoing edge
     std::vector<s64> prefixOutput_;  ///< prefix sums of work.outputBytes

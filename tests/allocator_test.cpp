@@ -208,7 +208,10 @@ TEST(AllocatorSerial, GreedyImprovesOnMinimal)
  * again. The segment is layer 0's attention output of opt-6.7b decode
  * (KV 256, 2 layers) on dynaplasia: ops [68, 75) of the flattened
  * graph, l0.sv.part0..1 and l0.wo.part0..4. Seven of its bisection
- * probes reach the exact solve, all with the same memory-array vector.
+ * probes leave the per-edge bound and the greedy assignment open, all
+ * with the same memory-array vector. The vertex bound now decides all
+ * seven, so only the filling solve is left; the memo's saving is
+ * pinned on a wider segment below.
  */
 TEST(AllocatorMemo, RepeatedExactProbesSolveOnce)
 {
@@ -260,6 +263,113 @@ TEST(AllocatorMemo, RepeatedExactProbesSolveOnce)
         EXPECT_EQ(fast.allocs[i].memOutArrays,
                   reference.allocs[i].memOutArrays) << "op " << i;
     }
+}
+
+/** Flattened opt-6.7b decode (KV 256, 2 layers) on dynaplasia. */
+std::vector<ScheduledOp>
+decodeOps(const Deha &deha)
+{
+    TransformerConfig config = TransformerConfig::opt6_7b();
+    config.layers = 2;
+    Graph graph = buildTransformerDecodeStep(config, 1, 256);
+    PartitionOptions partition;
+    partition.dualModeAware = true;
+    return flattenGraph(graph, deha, partition);
+}
+
+/** The reuse MIPs one allocate() of @p segment runs. */
+s64
+countSolves(const CostModel &cost, const SegmentView &segment,
+            SegmentAllocation *out)
+{
+    obs::MetricsRegistry registry;
+    obs::install(&registry, nullptr);
+    *out = DualModeAllocator(cost, AllocatorOptions{}).allocate(segment);
+    const s64 solves = registry.counter(obs::Met::kMipSolves).get();
+    obs::uninstall();
+    return solves;
+}
+
+/** @p fast equals the reference search's allocation field for field. */
+void
+expectReferenceAllocation(const CostModel &cost, const SegmentView &segment,
+                          const SegmentAllocation &fast)
+{
+    AllocatorOptions reference_options;
+    reference_options.referenceSearch = true;
+    SegmentAllocation reference =
+        DualModeAllocator(cost, reference_options).allocate(segment);
+    ASSERT_TRUE(fast.feasible());
+    EXPECT_EQ(fast.intraLatency, reference.intraLatency);
+    EXPECT_EQ(fast.reusedArrays, reference.reusedArrays);
+    EXPECT_EQ(fast.plan.computeArrays, reference.plan.computeArrays);
+    EXPECT_EQ(fast.plan.memoryArrays, reference.plan.memoryArrays);
+    EXPECT_EQ(fast.fillTarget, reference.fillTarget);
+    ASSERT_EQ(fast.allocs.size(), reference.allocs.size());
+    for (std::size_t i = 0; i < fast.allocs.size(); ++i) {
+        EXPECT_EQ(fast.allocs[i].computeArrays,
+                  reference.allocs[i].computeArrays) << "op " << i;
+        EXPECT_EQ(fast.allocs[i].memInArrays,
+                  reference.allocs[i].memInArrays) << "op " << i;
+        EXPECT_EQ(fast.allocs[i].memOutArrays,
+                  reference.allocs[i].memOutArrays) << "op " << i;
+    }
+}
+
+/**
+ * The memo behind the bounds: ops [176, 187) of the same decode graph,
+ * l0.ffn.fc1.part84 to l0.ffn.fc2.part9. Fourteen of its probes leave
+ * every bound open, all with the same memory-array vector, so the memo
+ * turns fifteen reuse MIPs (fourteen probes and the fill) into two.
+ */
+TEST(AllocatorMemo, ProbesTheBoundsLeaveOpenSolveOnce)
+{
+    constexpr s64 kSolvesWithoutMemo = 15;
+    constexpr s64 kSolvesWithMemo = 2;
+    static_assert(kSolvesWithMemo < kSolvesWithoutMemo);
+
+    Deha deha(ChipConfig::dynaplasia());
+    CostModel cost(deha);
+    std::vector<ScheduledOp> ops = decodeOps(deha);
+    ASSERT_GE(ops.size(), 187u);
+    ASSERT_EQ(ops[176].work.name, "l0.ffn.fc1.part84");
+    ASSERT_EQ(ops[186].work.name, "l0.ffn.fc2.part9");
+    SegmentView segment = makeSegmentView(ops, 176, 187);
+
+    SegmentAllocation fast;
+    EXPECT_LE(countSolves(cost, segment, &fast), kSolvesWithMemo);
+    expectReferenceAllocation(cost, segment, fast);
+}
+
+/**
+ * The vertex bound: the split constraint caps each op's in- plus
+ * out-reuse at its memory arrays, so twice the reuse is at most the
+ * per-op sum of min(memory arrays, the op's clipped edge caps). The
+ * segment is ops [65, 73) of the same decode graph, l0.wv.part21 to
+ * l0.wo.part2. Three of its probes, each with its own memory-array
+ * vector, leave the per-edge bound and the greedy assignment open, so
+ * without the vertex bound each runs the reuse MIP: four solves with
+ * the fill. The vertex bound proves all three infeasible, which leaves
+ * the fill alone, and the bisection still lands where the reference
+ * search does.
+ */
+TEST(AllocatorVertexBound, DecidesProbesTheEdgeBoundLeavesOpen)
+{
+    constexpr s64 kSolvesWithoutVertexBound = 4;
+    constexpr s64 kSolvesWithVertexBound = 1;
+    static_assert(kSolvesWithVertexBound < kSolvesWithoutVertexBound);
+
+    Deha deha(ChipConfig::dynaplasia());
+    CostModel cost(deha);
+    std::vector<ScheduledOp> ops = decodeOps(deha);
+    ASSERT_GE(ops.size(), 73u);
+    ASSERT_EQ(ops[65].work.name, "l0.wv.part21");
+    ASSERT_EQ(ops[72].work.name, "l0.wo.part2");
+    SegmentView segment = makeSegmentView(ops, 65, 73);
+
+    SegmentAllocation fast;
+    EXPECT_LE(countSolves(cost, segment, &fast), kSolvesWithVertexBound);
+    expectReferenceAllocation(cost, segment, fast);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/baseline.hpp"
+#include "compiler/allocator.hpp"
 #include "metaop/printer.hpp"
 #include "metaop/parser.hpp"
 #include "metaop/validator.hpp"
@@ -171,6 +172,73 @@ TEST_P(SearchDiffFuzz, FastAndReferencePlansIdenticalOnRandomGraphs)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SearchDiffFuzz, ::testing::Range(0, 12));
+
+class PricedAllocationFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(PricedAllocationFuzz, PricedTotalsEqualAllocate)
+{
+    // The DP reads price()'s totals and only the chosen segments are
+    // filled, so on any segment the priced allocation must carry every
+    // total allocate() reaches, and fill() must then reach allocate()
+    // field for field. Random segments cover each rule of the price
+    // step: no edges, MIP-sized ones and ones too wide for the MIP.
+    Rng rng(static_cast<u64>(GetParam()) * 0x2545f4914f6cdd1dull + 7);
+    Deha deha(testing::tinyChip(rng.nextInt(12, 40)));
+    CostModel cost(deha);
+    DualModeAllocator alloc(cost, AllocatorOptions{});
+
+    for (int trial = 0; trial < 20; ++trial) {
+        const s64 n = rng.nextInt(1, 14);
+        std::vector<OpWorkload> ws;
+        for (s64 i = 0; i < n; ++i)
+            ws.push_back(testing::randomWorkload(rng, deha.config(), 3));
+        SegmentView view;
+        for (s64 i = 0; i < n; ++i) {
+            view.ops.push_back(&ws[static_cast<std::size_t>(i)]);
+            for (s64 p = std::max<s64>(0, i - 3); p < i; ++p) {
+                if (rng.nextInt(0, 2) != 0) {
+                    view.edges.push_back(
+                        SegmentView::Edge{p, i, rng.nextInt(64, 8192)});
+                }
+            }
+        }
+
+        SegmentAllocation filled = alloc.allocate(view);
+        SegmentAllocation priced = alloc.price(view);
+        EXPECT_FALSE(filled.needsFill());
+        EXPECT_EQ(priced.needsFill(), priced.feasible());
+        EXPECT_EQ(priced.intraLatency, filled.intraLatency)
+            << "trial " << trial;
+        EXPECT_EQ(priced.reusedArrays, filled.reusedArrays)
+            << "trial " << trial;
+        EXPECT_EQ(priced.plan.computeArrays, filled.plan.computeArrays);
+        EXPECT_EQ(priced.plan.memoryArrays, filled.plan.memoryArrays);
+        ASSERT_EQ(priced.allocs.size(), filled.allocs.size());
+        for (std::size_t i = 0; i < priced.allocs.size(); ++i) {
+            EXPECT_EQ(priced.allocs[i].computeArrays,
+                      filled.allocs[i].computeArrays);
+            EXPECT_EQ(priced.allocs[i].memoryArrays(),
+                      filled.allocs[i].memoryArrays());
+        }
+
+        alloc.fill(view, &priced);
+        EXPECT_FALSE(priced.needsFill());
+        EXPECT_EQ(priced.intraLatency, filled.intraLatency);
+        EXPECT_EQ(priced.reusedArrays, filled.reusedArrays);
+        for (std::size_t i = 0; i < priced.allocs.size(); ++i) {
+            EXPECT_EQ(priced.allocs[i].memInArrays,
+                      filled.allocs[i].memInArrays)
+                << "trial " << trial << " op " << i;
+            EXPECT_EQ(priced.allocs[i].memOutArrays,
+                      filled.allocs[i].memOutArrays)
+                << "trial " << trial << " op " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PricedAllocationFuzz, ::testing::Range(0, 20));
 
 } // namespace
 } // namespace cmswitch

@@ -6,6 +6,7 @@
 
 #include "compiler/segmenter.hpp"
 #include "models/model_zoo.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -192,6 +193,76 @@ TEST(Segmenter, SegmentIntraEqualsAllocLatency)
     for (const SegmentDecision &d : r.segments)
         sum += d.alloc.intraLatency;
     EXPECT_EQ(sum, r.latency.intra);
+}
+
+TEST(Segmenter, FillsOnlyTheChosenSegments)
+{
+    // The DP prices every candidate segment and fills the memory split
+    // of only the ones it picks, once per distinct shape: one run()
+    // emits at most one alloc.fill span per chosen segment, where
+    // filling every candidate would emit one per signature-cache miss.
+    // The plan stays the reference search's, which fills every
+    // candidate eagerly.
+    TransformerConfig config = TransformerConfig::opt6_7b();
+    config.layers = 2;
+    Graph graph = buildTransformerDecodeStep(config, 1, 256);
+    Deha deha(ChipConfig::dynaplasia());
+    CostModel cost(deha);
+    PartitionOptions partition;
+    partition.dualModeAware = true;
+    std::vector<ScheduledOp> ops = flattenGraph(graph, deha, partition);
+
+    obs::MetricsRegistry registry;
+    obs::TraceRecorder recorder;
+    obs::install(&registry, &recorder);
+    Segmenter fast(cost, dualModeDp());
+    ScheduleResult schedule = fast.run(ops);
+    obs::uninstall();
+    ASSERT_TRUE(schedule.feasible());
+    const std::string trace = recorder.exportJson();
+    s64 fills = 0;
+    for (std::size_t at = trace.find("\"alloc.fill\"");
+         at != std::string::npos;
+         at = trace.find("\"alloc.fill\"", at + 1)) {
+        ++fills;
+    }
+    EXPECT_GT(fills, 0);
+    EXPECT_LE(fills, static_cast<s64>(schedule.segments.size()));
+    EXPECT_GT(fast.cacheMisses(), static_cast<s64>(schedule.segments.size()));
+
+    SegmenterOptions reference_options = dualModeDp();
+    reference_options.referenceSearch = true;
+    ScheduleResult reference = Segmenter(cost, reference_options).run(ops);
+    EXPECT_EQ(schedule.latency.total(), reference.latency.total());
+    EXPECT_EQ(schedule.latency.intra, reference.latency.intra);
+    EXPECT_EQ(schedule.latency.writeback, reference.latency.writeback);
+    EXPECT_EQ(schedule.latency.modeSwitch, reference.latency.modeSwitch);
+    EXPECT_EQ(schedule.latency.rewrite, reference.latency.rewrite);
+    ASSERT_EQ(schedule.segments.size(), reference.segments.size());
+    for (std::size_t s = 0; s < schedule.segments.size(); ++s) {
+        const SegmentDecision &a = schedule.segments[s];
+        const SegmentDecision &b = reference.segments[s];
+        EXPECT_EQ(a.lo, b.lo) << "segment " << s;
+        EXPECT_EQ(a.hi, b.hi) << "segment " << s;
+        EXPECT_FALSE(a.alloc.needsFill()) << "segment " << s;
+        EXPECT_EQ(a.alloc.intraLatency, b.alloc.intraLatency);
+        EXPECT_EQ(a.alloc.reusedArrays, b.alloc.reusedArrays);
+        EXPECT_EQ(a.interTotal(), b.interTotal()) << "segment " << s;
+        EXPECT_EQ(a.storeBytes, b.storeBytes) << "segment " << s;
+        EXPECT_EQ(a.loadBytes, b.loadBytes) << "segment " << s;
+        EXPECT_EQ(a.carriedBytes, b.carriedBytes) << "segment " << s;
+        ASSERT_EQ(a.alloc.allocs.size(), b.alloc.allocs.size());
+        for (std::size_t i = 0; i < a.alloc.allocs.size(); ++i) {
+            EXPECT_EQ(a.alloc.allocs[i].computeArrays,
+                      b.alloc.allocs[i].computeArrays);
+            EXPECT_EQ(a.alloc.allocs[i].memInArrays,
+                      b.alloc.allocs[i].memInArrays)
+                << "segment " << s << " op " << i;
+            EXPECT_EQ(a.alloc.allocs[i].memOutArrays,
+                      b.alloc.allocs[i].memOutArrays)
+                << "segment " << s << " op " << i;
+        }
+    }
 }
 
 } // namespace
