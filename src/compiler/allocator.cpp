@@ -221,7 +221,7 @@ DualModeAllocator::greedyReuse(const SegmentView &segment,
 {
     // Each op exposes its memory arrays as a shared in/out pool; edges
     // claim from both endpoint pools. Any such claim is a feasible
-    // reuse of the MIP below.
+    // point of exactReuse()'s MIP.
     std::vector<s64> &pool = call->pool;
     for (std::size_t i = 0; i < pool.size(); ++i) {
         pool[i] = call->needs[i].memoryArrays;
@@ -384,6 +384,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
     const bool fast_probe = out == nullptr && !options_.referenceSearch;
     const bool reuse_possible =
         !segment.edges.empty() && options_.allowMemoryMode;
+    const bool exact = solvesExactly(segment);
     if (fast_probe) {
         if (total <= n_cim) {
             obs::count(obs::Met::kAllocProbeShortcuts);
@@ -405,7 +406,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
         // memory-array vector is the whole MIP instance, and only its
         // optimum decides a probe: take it from the memo if this call
         // solved the same vector before.
-        if (solvesExactly(segment)) {
+        if (exact) {
             if (const s64 *memo = call->memoFind())
                 return total - *memo <= n_cim;
         }
@@ -418,7 +419,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             splitMemory(*segment.ops[i], call->needs[i].memoryArrays,
                         &call->memIn[i], &call->memOut[i]);
         }
-    } else if (solvesExactly(segment)) {
+    } else if (exact) {
         // Warm pivoting only on boolean probes: the filling solve must
         // replay the exact cold pivot path so the chosen reuse splits
         // stay bit-identical to the reference mode.

@@ -89,8 +89,9 @@ struct AllocatorOptions
     /**
      * true: pre-optimization behaviour — every bisection probe runs
      * the exact reuse solve (no conservative-bound shortcuts, no LP
-     * warm starts). Retained for the differential tests and the
-     * Fig. 18 reference measurements; Segmenter propagates its
+     * warm starts), and price() fills eagerly, as allocate() does.
+     * Retained for the differential tests and the Fig. 18 reference
+     * measurements; Segmenter propagates its
      * SegmenterOptions::referenceSearch here. Allocation-filling
      * solves are identical in both modes by construction.
      */

@@ -133,7 +133,8 @@ Segmenter::filledAllocation(const std::vector<ScheduledOp> &ops, s64 lo,
     // Every range of one signature shares the cache entry, so the first
     // fill serves every later range of that shape.
     SegmentAllocation &entry = allocateCachedRef(ops, lo, hi);
-    allocator_.fill(makeSegmentView(ops, lo, hi), &entry);
+    if (entry.needsFill())
+        allocator_.fill(makeSegmentView(ops, lo, hi), &entry);
     return entry;
 }
 

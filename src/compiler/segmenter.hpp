@@ -22,14 +22,19 @@
  *    array of crossing bytes per producer over the DP window
  *    [minStart[k], k), suffix-summed so a predecessor's direct bytes
  *    are one lookup at its start, and keys the per-run range cache
- *    with a flat hash map instead of a red-black tree. Each candidate's
- *    allocation comes from DualModeAllocator::allocate(), which hoists
- *    per-op constants and memoizes repeated probe MIPs within one
- *    call only, so the allocator stays stateless and shareable across
- *    threads.
+ *    with a flat hash map instead of a red-black tree. Each candidate
+ *    is priced by DualModeAllocator::price(): every total the DP reads,
+ *    but with each op's memory arrays left unsplit between input and
+ *    output buffers, which no DP cost depends on. finalize() fills the
+ *    split of only the chosen segments with DualModeAllocator::fill(),
+ *    in place on the signature-cache entry, so once per distinct
+ *    chosen shape. The allocator hoists per-op constants and memoizes
+ *    repeated probe MIPs within one call only, so it stays stateless
+ *    and shareable across threads.
  *  - runDpReference() — the pre-optimization search, kept verbatim
  *    behind SegmenterOptions::referenceSearch. It recomputes every
- *    aggregate per (predecessor, segment) pair. The differential tests
+ *    aggregate per (predecessor, segment) pair, and every candidate
+ *    is filled eagerly (price() is allocate() under referenceSearch). The differential tests
  *    (tests/segmenter_diff_test.cpp, fuzz_test) pin that both searches
  *    produce byte-identical compile results across the full scenario
  *    matrix, which is what licenses every shortcut the fast path takes.
