@@ -40,7 +40,7 @@
  * applies: 0 without edges or memory mode; the greedy pool reuse for a
  * segment too wide for the MIP (what the fill computes there); the
  * greedy bound when it meets the upper bound; the probe memo; else one
- * warm-started MIP that only its value is read from. The DP prices
+ * warm-started MIP, of which only the value is read. The DP prices
  * every candidate segment and fills only the ones it picks.
  *
  * Probe constants, memo, warm start and scratch all live on the
@@ -225,8 +225,9 @@ class DualModeAllocator
     bool needsAt(const SegmentView &segment, Cycles t, CallState *call,
                  s64 *total) const;
 
-    /** Whether the reuse at the current needs is solved by the MIP
-     *  (false: no reuse possible, or too wide, so greedy). */
+    /** Whether the segment's reuse is solved by the MIP (false: no
+     *  reuse is possible, or the segment is too wide for the MIP and
+     *  takes the greedy reuse). */
     bool solvesExactly(const SegmentView &segment) const;
 
     /** The smaller of the per-edge and vertex upper bounds on the
