@@ -212,9 +212,8 @@ TEST(Segmenter, FillsOnlyTheChosenSegments)
     partition.dualModeAware = true;
     std::vector<ScheduledOp> ops = flattenGraph(graph, deha, partition);
 
-    obs::MetricsRegistry registry;
     obs::TraceRecorder recorder;
-    obs::install(&registry, &recorder);
+    obs::install(nullptr, &recorder);
     Segmenter fast(cost, dualModeDp());
     ScheduleResult schedule = fast.run(ops);
     obs::uninstall();
