@@ -6,7 +6,8 @@
  * byte-determinism of the report across runs and compile thread
  * counts, dual-mode occupancy (resident plans skip reconfiguration),
  * an analytic M/D/1 mean-wait cross-check with a saturation
- * counterpart, and KV-bucket plan routing.
+ * counterpart, KV-bucket plan routing, and one report pinned to a
+ * committed digest.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "sim/serving/service_time.hpp"
 #include "sim/serving/simulator.hpp"
 #include "sim/timing.hpp"
+#include "support/hash.hpp"
 
 namespace cmswitch {
 namespace {
@@ -479,6 +481,68 @@ TEST(SimServing, KvBucketsRouteRequestsToPlans)
     EXPECT_GT(result.plans[1].served, 0);
     EXPECT_EQ(result.plans[0].served + result.plans[1].served,
               result.completed);
+}
+
+/**
+ * FNV-1a digest of the pinned scenario's report (plan keys blanked).
+ * Every build — compiler, standard library, optimisation level —
+ * must emit these bytes.
+ */
+constexpr const char *kGoldenSimDigest = "9ab94fb3f1ca7cc2";
+
+/**
+ * Pinned report bytes. Two slow chips under on/off bursts against a
+ * 6-slot queue, with a priority-1 workload whose 3 ms deadline lapses
+ * in the bursts: the run admits, evicts for priority, sheds itself,
+ * expires deadlines and completes, so the digest covers the serve
+ * queue's every decision and the event loop's every path. Plan keys
+ * embed the library version, so they are blanked before hashing.
+ */
+TEST(SimServing, PinnedReportDigest)
+{
+    SimScenario scenario;
+    std::string error;
+    ASSERT_TRUE(parseSimScenario(R"({
+        "schema": "cmswitch-sim-scenario-v1",
+        "name": "golden",
+        "seed": 2026,
+        "duration_seconds": 0.5,
+        "max_queue": 6,
+        "arrival": {"process": "onoff", "rate_per_second": 500.0,
+                    "burst_rate_per_second": 5000.0,
+                    "mean_burst_seconds": 0.02,
+                    "mean_idle_seconds": 0.02},
+        "chips": [
+            {"chip": "dynaplasia", "count": 1, "clock_ghz": 0.001},
+            {"chip": "prime", "count": 1, "clock_ghz": 0.001}
+        ],
+        "workloads": [
+            {"name": "bulk", "model": "tiny-mlp", "weight": 2.0},
+            {"name": "urgent", "model": "tiny-mlp", "weight": 1.0,
+             "priority": 1, "deadline_ms": 3}
+        ]
+    })",
+                                 &scenario, &error))
+        << error;
+
+    SimResult result;
+    ASSERT_TRUE(
+        runServingSimulation(scenario, ServingSimOptions{}, &result,
+                             &error))
+        << error;
+    EXPECT_GT(result.shedAdmission, 0);
+    EXPECT_GT(result.shedDeadline, 0);
+    EXPECT_GT(result.completed, 0);
+
+    for (SimPlan &plan : result.plans)
+        plan.key.clear();
+    const std::string digest =
+        hexDigest(fnv1a64(renderSimReport(scenario, result)));
+    EXPECT_EQ(digest, kGoldenSimDigest)
+        << "the sim report bytes no longer match the committed digest."
+        << " If the report change is intended, replace kGoldenSimDigest"
+        << " in tests/sim_serving_test.cpp with\n    \"" << digest
+        << "\"\nand record the report change in CHANGES.md.";
 }
 
 } // namespace
