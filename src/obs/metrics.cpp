@@ -184,6 +184,27 @@ LogHistogram::record(double value)
     atomicMax(max_, value);
 }
 
+void
+LogHistogram::recordSingleWriter(double value)
+{
+    if (std::isnan(value))
+        return;
+    if (value < 0.0)
+        value = 0.0;
+    std::atomic<s64> &bucket =
+        buckets_[static_cast<std::size_t>(bucketIndex(value))];
+    bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    count_.store(count_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    sum_.store(sum_.load(std::memory_order_relaxed) + value,
+               std::memory_order_relaxed);
+    if (value < min_.load(std::memory_order_relaxed))
+        min_.store(value, std::memory_order_relaxed);
+    if (value > max_.load(std::memory_order_relaxed))
+        max_.store(value, std::memory_order_relaxed);
+}
+
 double
 LogHistogram::sum() const
 {

@@ -10,8 +10,13 @@
  * 1/(2*kSubBuckets) ≈ 3.2% (see LogHistogram::kMaxRelativeError), which
  * obs_test pins against exact sorted percentiles. Unlike P² the bucket
  * layout is value-independent, so histograms merge exactly (batch jobs,
- * future serve-daemon shards) and record() is a couple of relaxed
- * atomic adds — safe from any thread with no coordination.
+ * future serve-daemon shards). record() is two relaxed fetch_adds
+ * (bucket, count) and three relaxed CAS loops (sum, min, max) — safe
+ * from any thread with no coordination. A histogram that one thread
+ * owns outright (the serving simulator's) records through
+ * recordSingleWriter() instead: the same arithmetic in the same order
+ * as plain relaxed loads and stores, so the same bits at a fraction of
+ * the cost.
  *
  * Hot instruments are enum-indexed (Met/Gau/Hist) into fixed arrays: no
  * name hashing or locking on the compile hot path. String-named
@@ -112,6 +117,15 @@ class LogHistogram
 
     /** Record one sample; negatives clamp to 0, NaN is dropped. */
     void record(double value);
+
+    /**
+     * record() for an instance with one writer: relaxed loads and
+     * stores in place of read-modify-writes, leaving bit-identical
+     * state. Only one thread may ever write this instance through
+     * either call; readers on other threads stay safe (every field is
+     * still an atomic), but a second writer would lose samples.
+     */
+    void recordSingleWriter(double value);
 
     s64 count() const { return count_.load(std::memory_order_relaxed); }
     double sum() const;

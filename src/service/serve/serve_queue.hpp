@@ -24,9 +24,21 @@
  *
  * Time is a caller-supplied double (seconds on any monotonic scale):
  * the engine passes steady_clock, unit tests pass a fake clock and
- * get fully deterministic shed decisions. Linear scans are deliberate:
- * max_queue is an operator knob in the tens, not thousands, and a
- * transparent scan beats a heap whose tie-breaking needs documenting.
+ * get fully deterministic shed decisions.
+ *
+ * Three binary heaps over one slot table index the waiting tickets:
+ * a dispatch heap ordered by runsBefore() (the one ordering rule), a
+ * (deadline, seq) heap of the deadline-bearing tickets for the expiry
+ * sweep, and a (priority ascending, seq descending) heap whose top is
+ * the victim. Removing a ticket only frees its slot: a heap entry is
+ * live iff its slot still holds its seq, which is sound because seqs
+ * are never reused. Stale entries are dropped when they surface at a
+ * heap's top, and a heap that grows past 2·size()+32 entries is
+ * rebuilt from its live entries, so a long-lived daemon's index stays
+ * bounded. admit() and pop() cost O(log n) amortized in the waiting
+ * tickets and allocate nothing once the vectors reach their working
+ * size. serve_test checks every decision against the linear scans
+ * this replaced.
  */
 
 #ifndef CMSWITCH_SERVICE_SERVE_SERVE_QUEUE_HPP
@@ -57,9 +69,10 @@ class ServeQueue
     };
 
     /**
-     * Offer ticket @p seq (caller-unique, monotonically increasing =
-     * arrival order) with @p priority (higher wins). @p hasDeadline /
-     * @p deadline give its absolute expiry on the caller's clock.
+     * Offer ticket @p seq (arrival order: >= 1 and strictly greater
+     * than every seq offered before, shed or not; fatal otherwise)
+     * with @p priority (higher wins). @p hasDeadline / @p deadline
+     * give its absolute expiry on the caller's clock.
      */
     Admission admit(u64 seq, s64 priority, bool hasDeadline,
                     double deadline);
@@ -72,8 +85,8 @@ class ServeQueue
      */
     bool pop(double now, u64 *seq, std::vector<u64> *expired);
 
-    s64 size() const { return static_cast<s64>(tickets_.size()); }
-    bool empty() const { return tickets_.empty(); }
+    s64 size() const { return size_; }
+    bool empty() const { return size_ == 0; }
     s64 maxQueue() const { return maxQueue_; }
 
   private:
@@ -81,17 +94,48 @@ class ServeQueue
     {
         u64 seq = 0;
         s64 priority = 0;
-        bool hasDeadline = false;
         double deadline = 0.0;
+        u32 slot = 0; ///< index into slotSeq_
+        bool hasDeadline = false;
     };
-
-    /** Index of the weakest ticket (lowest priority, newest first). */
-    std::size_t victimIndex() const;
 
     /** True when @p a should run before @p b. */
     static bool runsBefore(const Ticket &a, const Ticket &b);
 
-    std::vector<Ticket> tickets_; ///< arrival order (seq ascending)
+    /** @{ Heap orders (a std heap keeps its greatest entry on top). */
+    struct DispatchOrder;
+    struct ExpiryOrder;
+    struct VictimOrder;
+    /** @} */
+
+    bool live(const Ticket &ticket) const
+    {
+        return slotSeq_[ticket.slot] == ticket.seq;
+    }
+
+    /** Drop stale entries off the top of @p heap. */
+    template <typename Order> void pruneTop(std::vector<Ticket> &heap);
+
+    /** Remove the top entry of @p heap. */
+    template <typename Order> static void popTop(std::vector<Ticket> &heap);
+
+    /** Rebuild @p heap from its live entries once it holds more than
+     *  2·size()+32 entries. */
+    template <typename Order> void compact(std::vector<Ticket> &heap);
+
+    /** Free @p ticket's slot: every heap entry of it turns stale. */
+    void release(const Ticket &ticket);
+
+    /** compact() each heap. */
+    void compactHeaps();
+
+    std::vector<Ticket> dispatch_; ///< top: runs first
+    std::vector<Ticket> expiry_;   ///< deadline-bearing; top: expires first
+    std::vector<Ticket> victim_;   ///< top: lowest priority, newest
+    std::vector<u64> slotSeq_;     ///< seq held by each slot; 0 = free
+    std::vector<u32> freeSlots_;
+    u64 lastSeq_ = 0;
+    s64 size_ = 0;
     s64 maxQueue_;
 };
 

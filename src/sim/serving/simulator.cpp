@@ -1,9 +1,10 @@
 #include "sim/serving/simulator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <future>
-#include <map>
 #include <random>
+#include <unordered_map>
 #include <utility>
 
 #include "arch/deha.hpp"
@@ -306,21 +307,29 @@ runServingSimulation(const SimScenario &scenario,
     ArrivalStream arrivals(scenario.arrival, horizon, engine);
     EventCalendar calendar;
     ServeQueue queue(scenario.maxQueue);
-    std::map<u64, PendingRequest> waiting; // seq -> queued request
+    // seq -> queued request: at most maxQueue entries, since only
+    // admitted requests enter. The reservation is capped so a huge
+    // max_queue preallocates nothing.
+    std::unordered_map<u64, PendingRequest> waiting;
+    waiting.reserve(
+        static_cast<std::size_t>(std::min<s64>(scenario.maxQueue, 65536)));
+    std::vector<u64> expired; // dispatch's scratch
     u64 nextSeq = 1;
     double lastArrival = 0.0;
 
-    auto shedWaiting = [&](u64 seq, bool deadline) {
-        auto it = waiting.find(seq);
-        PendingRequest request = it->second;
-        waiting.erase(it);
+    auto countShed = [&](std::size_t workload, bool deadline) {
         if (deadline) {
             ++out->shedDeadline;
-            ++out->workloads[request.workload].shedDeadline;
+            ++out->workloads[workload].shedDeadline;
         } else {
             ++out->shedAdmission;
-            ++out->workloads[request.workload].shedAdmission;
+            ++out->workloads[workload].shedAdmission;
         }
+    };
+    auto shedWaiting = [&](u64 seq, bool deadline) {
+        auto it = waiting.find(seq);
+        countShed(it->second.workload, deadline);
+        waiting.erase(it);
     };
 
     auto dispatch = [&](double now) {
@@ -335,14 +344,15 @@ runServingSimulation(const SimScenario &scenario,
             if (free < 0)
                 return;
             u64 seq = 0;
-            std::vector<u64> expired;
+            expired.clear();
             bool got = queue.pop(now, &seq, &expired);
             for (u64 expiredSeq : expired)
                 shedWaiting(expiredSeq, /*deadline=*/true);
             if (!got)
                 return;
-            PendingRequest request = waiting.at(seq);
-            waiting.erase(seq);
+            auto it = waiting.find(seq);
+            PendingRequest request = it->second;
+            waiting.erase(it);
             // Placement: a free chip whose arrays already hold this
             // request's plan serves it without reconfiguring; lowest
             // instance index wins ties. Otherwise the first free chip
@@ -416,11 +426,6 @@ runServingSimulation(const SimScenario &scenario,
             ++out->arrived;
             ++out->workloads[w].arrived;
             u64 seq = nextSeq++;
-            PendingRequest request;
-            request.workload = w;
-            request.bucket = bucket;
-            request.arrivalSeconds = event.time;
-            waiting.emplace(seq, request);
             s64 priority = scenario.fifo ? 0 : spec.priority;
             double deadline =
                 spec.hasDeadline
@@ -429,11 +434,18 @@ runServingSimulation(const SimScenario &scenario,
                     : 0.0;
             ServeQueue::Admission admission =
                 queue.admit(seq, priority, spec.hasDeadline, deadline);
-            if (admission.kind == ServeQueue::Admission::Kind::kShedSelf)
-                shedWaiting(seq, /*deadline=*/false);
-            else if (admission.kind
-                     == ServeQueue::Admission::Kind::kShedVictim)
-                shedWaiting(admission.victim, /*deadline=*/false);
+            if (admission.kind == ServeQueue::Admission::Kind::kShedSelf) {
+                countShed(w, /*deadline=*/false); // never waited
+            } else {
+                if (admission.kind
+                    == ServeQueue::Admission::Kind::kShedVictim)
+                    shedWaiting(admission.victim, /*deadline=*/false);
+                PendingRequest request;
+                request.workload = w;
+                request.bucket = bucket;
+                request.arrivalSeconds = event.time;
+                waiting.emplace(seq, request);
+            }
             double nextTime = 0.0;
             if (arrivals.next(&nextTime)) {
                 SimEvent next;
@@ -452,10 +464,12 @@ runServingSimulation(const SimScenario &scenario,
             ++out->completed;
             ++out->workloads[chip.workload].completed;
             double total = chip.waitSeconds + chip.serviceSeconds;
-            out->queueWaitSeconds.record(chip.waitSeconds);
-            out->serviceSeconds.record(chip.serviceSeconds);
-            out->totalSeconds.record(total);
-            out->workloads[chip.workload].totalSeconds.record(total);
+            // The result is this thread's alone until the call returns.
+            out->queueWaitSeconds.recordSingleWriter(chip.waitSeconds);
+            out->serviceSeconds.recordSingleWriter(chip.serviceSeconds);
+            out->totalSeconds.recordSingleWriter(total);
+            out->workloads[chip.workload].totalSeconds.recordSingleWriter(
+                total);
             out->makespanSeconds = event.time;
             dispatch(event.time);
         }

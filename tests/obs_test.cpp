@@ -66,6 +66,46 @@ recordAll(LogHistogram *h, const std::vector<double> &samples)
     return samples;
 }
 
+/** @{ The seeded sample streams the estimator is checked against. */
+std::vector<double>
+uniformStream()
+{
+    std::mt19937 rng(1234);
+    std::uniform_real_distribution<double> dist(1e-4, 10.0);
+    std::vector<double> samples;
+    samples.reserve(10000);
+    for (int i = 0; i < 10000; ++i)
+        samples.push_back(dist(rng));
+    return samples;
+}
+
+std::vector<double>
+lognormalStream()
+{
+    // Heavy tail spanning many octaves — the shape compile latencies
+    // actually have.
+    std::mt19937 rng(99);
+    std::lognormal_distribution<double> dist(-3.0, 2.0);
+    std::vector<double> samples;
+    samples.reserve(20000);
+    for (int i = 0; i < 20000; ++i)
+        samples.push_back(dist(rng));
+    return samples;
+}
+
+std::vector<double>
+duplicateHeavyStream()
+{
+    // Quantized durations (timer granularity) stress nearest-rank ties.
+    std::mt19937 rng(7);
+    std::uniform_int_distribution<int> dist(1, 20);
+    std::vector<double> samples;
+    for (int i = 0; i < 5000; ++i)
+        samples.push_back(dist(rng) * 1e-3);
+    return samples;
+}
+/** @} */
+
 TEST(LogHistogram, EmptyIsAllZero)
 {
     LogHistogram h;
@@ -131,12 +171,7 @@ TEST(LogHistogram, BucketIndexIsMonotonic)
 
 TEST(LogHistogram, UniformStreamWithinDocumentedBound)
 {
-    std::mt19937 rng(1234);
-    std::uniform_real_distribution<double> dist(1e-4, 10.0);
-    std::vector<double> samples;
-    samples.reserve(10000);
-    for (int i = 0; i < 10000; ++i)
-        samples.push_back(dist(rng));
+    std::vector<double> samples = uniformStream();
     LogHistogram h;
     recordAll(&h, samples);
     EXPECT_EQ(h.count(), 10000);
@@ -146,14 +181,7 @@ TEST(LogHistogram, UniformStreamWithinDocumentedBound)
 
 TEST(LogHistogram, LognormalStreamWithinDocumentedBound)
 {
-    // Heavy tail spanning many octaves — the shape compile latencies
-    // actually have.
-    std::mt19937 rng(99);
-    std::lognormal_distribution<double> dist(-3.0, 2.0);
-    std::vector<double> samples;
-    samples.reserve(20000);
-    for (int i = 0; i < 20000; ++i)
-        samples.push_back(dist(rng));
+    std::vector<double> samples = lognormalStream();
     LogHistogram h;
     recordAll(&h, samples);
     for (double q : {0.5, 0.9, 0.95, 0.99})
@@ -162,16 +190,44 @@ TEST(LogHistogram, LognormalStreamWithinDocumentedBound)
 
 TEST(LogHistogram, DuplicateHeavyStreamWithinDocumentedBound)
 {
-    // Quantized durations (timer granularity) stress nearest-rank ties.
-    std::mt19937 rng(7);
-    std::uniform_int_distribution<int> dist(1, 20);
-    std::vector<double> samples;
-    for (int i = 0; i < 5000; ++i)
-        samples.push_back(dist(rng) * 1e-3);
+    std::vector<double> samples = duplicateHeavyStream();
     LogHistogram h;
     recordAll(&h, samples);
     for (double q : {0.1, 0.5, 0.9, 0.99})
         expectQuantileWithinBound(h, samples, q);
+}
+
+TEST(LogHistogram, SingleWriterRecordIsBitIdentical)
+{
+    // writeJson prints shortest round-trip doubles, so equal documents
+    // mean equal count, sum bits, min, max and quantiles. The zero,
+    // negative and NaN samples take the clamp and drop paths as well.
+    for (std::vector<double> samples :
+         {uniformStream(), lognormalStream(), duplicateHeavyStream()}) {
+        samples.insert(samples.begin() + 1, {0.0, -2.5, std::nan("")});
+        LogHistogram shared;
+        LogHistogram owned;
+        for (double s : samples) {
+            shared.record(s);
+            owned.recordSingleWriter(s);
+        }
+        auto render = [](const LogHistogram &h) {
+            JsonWriter w;
+            h.writeJson(w);
+            return w.str();
+        };
+        EXPECT_EQ(render(owned), render(shared));
+        EXPECT_EQ(owned.count(), shared.count());
+        EXPECT_EQ(owned.sum(), shared.sum());
+        // Every bucket equal: subtraction clamps each bucket at zero,
+        // so both directions leave nothing only when all counts match.
+        LogHistogram ownedLeft = owned;
+        ownedLeft.subtractSnapshot(shared);
+        LogHistogram sharedLeft = shared;
+        sharedLeft.subtractSnapshot(owned);
+        EXPECT_EQ(ownedLeft.count(), 0);
+        EXPECT_EQ(sharedLeft.count(), 0);
+    }
 }
 
 TEST(LogHistogram, MergeMatchesCombinedStreamExactly)

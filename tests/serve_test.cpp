@@ -2,7 +2,9 @@
  * @file
  * Tests for the serve daemon's building blocks: the ServeQueue
  * admission gate (priority-then-FIFO rejection order, deadline expiry
- * while queued — both driven by a fake clock, fully deterministic),
+ * while queued — both driven by a fake clock, fully deterministic —
+ * and seeded differential streams against the linear-scan queue it
+ * replaced),
  * the strict wire-protocol parser/resolver, and the ServeEngine's
  * status-v3 report under a fixed hold/release request script
  * (cumulative quantiles on demand, interval deltas only on periodic
@@ -11,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <mutex>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -98,6 +102,313 @@ TEST(ServeQueue, PopShedsExpiredTicketsBeforeSelecting)
     EXPECT_FALSE(queue.pop(3.0, &seq, &expired));
     EXPECT_EQ(expired, std::vector<u64>{3});
     EXPECT_TRUE(queue.empty());
+}
+
+/**
+ * The linear-scan ServeQueue that the heap-indexed one replaced, kept
+ * verbatim as the differential oracle: every admission and pop of the
+ * library queue must match it. O(n) per operation, which is why it
+ * lives here and not in the library.
+ */
+class ReferenceServeQueue
+{
+  public:
+    explicit ReferenceServeQueue(s64 maxQueue) : maxQueue_(maxQueue) {}
+
+    using Admission = ServeQueue::Admission;
+
+    struct Ticket
+    {
+        u64 seq = 0;
+        s64 priority = 0;
+        bool hasDeadline = false;
+        double deadline = 0.0;
+    };
+
+    Admission
+    admit(u64 seq, s64 priority, bool hasDeadline, double deadline)
+    {
+        Admission out;
+        if (static_cast<s64>(tickets_.size()) >= maxQueue_) {
+            std::size_t victim = victimIndex();
+            // Strictly higher priority displaces; equal never does — an
+            // arrival must not bump a peer that got there first.
+            if (priority <= tickets_[victim].priority) {
+                out.kind = Admission::Kind::kShedSelf;
+                return out;
+            }
+            out.kind = Admission::Kind::kShedVictim;
+            out.victim = tickets_[victim].seq;
+            tickets_.erase(tickets_.begin()
+                           + static_cast<std::ptrdiff_t>(victim));
+        }
+        tickets_.push_back({seq, priority, hasDeadline, deadline});
+        return out;
+    }
+
+    bool
+    pop(double now, u64 *seq, std::vector<u64> *expired)
+    {
+        // Expiry sweep first: a ticket whose deadline passed while it
+        // waited must never reach a worker, even if it would have been
+        // popped this very call.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < tickets_.size(); ++i) {
+            if (tickets_[i].hasDeadline && tickets_[i].deadline <= now) {
+                expired->push_back(tickets_[i].seq);
+            } else {
+                tickets_[kept++] = tickets_[i];
+            }
+        }
+        tickets_.resize(kept);
+        if (tickets_.empty())
+            return false;
+
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < tickets_.size(); ++i) {
+            if (runsBefore(tickets_[i], tickets_[best]))
+                best = i;
+        }
+        *seq = tickets_[best].seq;
+        tickets_.erase(tickets_.begin()
+                       + static_cast<std::ptrdiff_t>(best));
+        return true;
+    }
+
+    s64 size() const { return static_cast<s64>(tickets_.size()); }
+
+    /** True when @p a should run before @p b. */
+    static bool
+    runsBefore(const Ticket &a, const Ticket &b)
+    {
+        if (a.priority != b.priority)
+            return a.priority > b.priority;
+        // Within a band, urgency: a ticket with a deadline outranks one
+        // without, earlier deadlines first.
+        if (a.hasDeadline != b.hasDeadline)
+            return a.hasDeadline;
+        if (a.hasDeadline && a.deadline != b.deadline)
+            return a.deadline < b.deadline;
+        return a.seq < b.seq; // FIFO
+    }
+
+  private:
+    /** Index of the weakest ticket (lowest priority, newest first). */
+    std::size_t
+    victimIndex() const
+    {
+        // Lowest priority loses; among equals the *newest* (highest seq)
+        // loses, so earlier arrivals keep their place — shedding is
+        // "priority then FIFO". tickets_ is seq-ascending, so a strict
+        // <= on priority while scanning forward lands on the last
+        // (newest) ticket of the weakest band.
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < tickets_.size(); ++i) {
+            if (tickets_[i].priority <= tickets_[victim].priority)
+                victim = i;
+        }
+        return victim;
+    }
+
+    std::vector<Ticket> tickets_; ///< arrival order (seq ascending)
+    s64 maxQueue_;
+};
+
+/** One seeded admit/pop stream's shape. */
+struct QueueStream
+{
+    u64 seed = 0;
+    s64 maxQueue = 1;
+    bool widePriorities = false; ///< s64 extremes, not just {0, 1}
+    bool deadlines = false;
+    s64 ops = 0;
+};
+
+/** A ticket drawn the way QueueStream says. */
+ReferenceServeQueue::Ticket
+drawTicket(std::mt19937_64 &rng, const QueueStream &stream, u64 seq,
+           double now)
+{
+    static constexpr s64 kEdges[] = {
+        std::numeric_limits<s64>::min(), -1, 0, 1,
+        std::numeric_limits<s64>::max()};
+    ReferenceServeQueue::Ticket t;
+    t.seq = seq;
+    if (!stream.widePriorities)
+        t.priority = static_cast<s64>(rng() % 2);
+    else if (rng() % 2 == 0)
+        t.priority = kEdges[rng() % 5];
+    else
+        t.priority = static_cast<s64>(rng());
+    // Deadlines sit on a half-second grid from `now` on, so equal
+    // deadlines and deadline == now are common. A ticket without one
+    // still carries a junk deadline, which both queues must ignore.
+    t.hasDeadline = stream.deadlines && rng() % 2 == 0;
+    t.deadline = now + 0.5 * static_cast<double>(rng() % 9);
+    return t;
+}
+
+/** How often a stream reached each decision. */
+struct QueueStreamTally
+{
+    s64 shedSelf = 0;
+    s64 victims = 0;
+    s64 pops = 0;
+    s64 emptyPops = 0;
+    s64 expired = 0;
+};
+
+/**
+ * Drive ServeQueue and the reference with one seeded stream and
+ * compare them op for op: every admission (kind and victim), every
+ * pop (result, seq, expired list) and size(). The admit share swings
+ * between phases so the queue both fills up (shedding, evicting) and
+ * drains (pops on an empty queue).
+ */
+QueueStreamTally
+expectSameDecisions(const QueueStream &stream)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << stream.seed << ", maxQueue "
+                 << stream.maxQueue << ", wide " << stream.widePriorities
+                 << ", deadlines " << stream.deadlines);
+    std::mt19937_64 rng(stream.seed);
+    ServeQueue queue(stream.maxQueue);
+    ReferenceServeQueue reference(stream.maxQueue);
+    u64 nextSeq = 1;
+    double now = 0.0;
+    std::vector<u64> expired;
+    std::vector<u64> referenceExpired;
+    QueueStreamTally tally;
+    const s64 phase = std::max<s64>(8, 4 * stream.maxQueue);
+    for (s64 op = 0; op < stream.ops; ++op) {
+        if (rng() % 4 == 0)
+            now += 0.5 * static_cast<double>(rng() % 3);
+        const u64 admitPercent = (op / phase) % 2 == 0 ? 90 : 20;
+        if (rng() % 100 < admitPercent) {
+            ReferenceServeQueue::Ticket t =
+                drawTicket(rng, stream, nextSeq++, now);
+            ServeQueue::Admission got =
+                queue.admit(t.seq, t.priority, t.hasDeadline, t.deadline);
+            ServeQueue::Admission want = reference.admit(
+                t.seq, t.priority, t.hasDeadline, t.deadline);
+            EXPECT_EQ(got.kind, want.kind) << "admit of seq " << t.seq;
+            EXPECT_EQ(got.victim, want.victim) << "admit of seq " << t.seq;
+            tally.shedSelf += want.kind == Kind::kShedSelf;
+            tally.victims += want.kind == Kind::kShedVictim;
+        } else {
+            expired.clear();
+            referenceExpired.clear();
+            u64 seq = 0;
+            u64 referenceSeq = 0;
+            bool got = queue.pop(now, &seq, &expired);
+            bool want = reference.pop(now, &referenceSeq, &referenceExpired);
+            EXPECT_EQ(got, want) << "pop at op " << op;
+            EXPECT_EQ(seq, referenceSeq) << "pop at op " << op;
+            EXPECT_EQ(expired, referenceExpired) << "pop at op " << op;
+            tally.pops += want;
+            tally.emptyPops += !want;
+            tally.expired += static_cast<s64>(referenceExpired.size());
+        }
+        EXPECT_EQ(queue.size(), reference.size()) << "after op " << op;
+        EXPECT_EQ(queue.empty(), reference.size() == 0);
+        if (::testing::Test::HasFailure())
+            break; // the first divergence is the one worth reading
+    }
+    return tally;
+}
+
+/** Every stream must reach the decisions it is built to reach. */
+void
+expectCoverage(const QueueStream &stream, const QueueStreamTally &tally)
+{
+    EXPECT_GT(tally.shedSelf, 0) << "seed " << stream.seed;
+    EXPECT_GT(tally.victims, 0) << "seed " << stream.seed;
+    EXPECT_GT(tally.pops, 0) << "seed " << stream.seed;
+    EXPECT_GT(tally.emptyPops, 0) << "seed " << stream.seed;
+    EXPECT_EQ(tally.expired > 0, stream.deadlines) << "seed " << stream.seed;
+}
+
+TEST(ServeQueue, MatchesLinearScanReferenceOnSeededStreams)
+{
+    u64 seed = 1;
+    for (s64 maxQueue : {1, 2, 3, 64, 4096}) {
+        // The reference costs O(maxQueue) per op; the big queue gets a
+        // stream long enough to fill, shed, drain and fill again.
+        const s64 ops = maxQueue == 4096 ? 40000 : 20000;
+        for (bool wide : {false, true}) {
+            for (bool deadlines : {false, true}) {
+                QueueStream stream{seed++, maxQueue, wide, deadlines, ops};
+                expectCoverage(stream, expectSameDecisions(stream));
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(ServeQueue, MatchesReferenceOverAMillionOpsAtMaxQueue4)
+{
+    // A small, always-busy queue: the stale-entry bound forces a heap
+    // rebuild every few hundred operations, so this stream cycles it
+    // thousands of times.
+    QueueStream stream{2026, 4, true, true, 1000000};
+    expectCoverage(stream, expectSameDecisions(stream));
+}
+
+TEST(ServeQueue, FillAndDrainFollowsRunsBefore)
+{
+    // 200k waiting tickets: quadratic for a linear scan, so checked by
+    // property instead of against the reference — every pop must run
+    // before the next, and every ticket comes out exactly once.
+    constexpr s64 kTickets = 200000;
+    std::mt19937_64 rng(77);
+    ServeQueue queue(kTickets);
+    std::vector<ReferenceServeQueue::Ticket> tickets(kTickets + 1);
+    QueueStream stream{0, kTickets, true, true, 0};
+    for (u64 seq = 1; seq <= static_cast<u64>(kTickets); ++seq) {
+        tickets[seq] = drawTicket(rng, stream, seq, 1.0);
+        // Narrow bands, so ties fall through to the deadline and seq.
+        tickets[seq].priority %= 50;
+        ASSERT_EQ(queue.admit(seq, tickets[seq].priority,
+                              tickets[seq].hasDeadline,
+                              tickets[seq].deadline)
+                      .kind,
+                  ServeQueue::Admission::Kind::kAdmitted);
+    }
+    ASSERT_EQ(queue.size(), kTickets);
+
+    std::vector<bool> seen(kTickets + 1, false);
+    std::vector<u64> expired;
+    u64 previous = 0;
+    u64 seq = 0;
+    s64 popped = 0;
+    while (queue.pop(0.0, &seq, &expired)) { // before every deadline
+        ASSERT_GE(seq, 1u);
+        ASSERT_LE(seq, static_cast<u64>(kTickets));
+        ASSERT_FALSE(seen[seq]) << "seq " << seq << " popped twice";
+        seen[seq] = true;
+        if (previous != 0) {
+            ASSERT_TRUE(ReferenceServeQueue::runsBefore(tickets[previous],
+                                                        tickets[seq]))
+                << "seq " << previous << " popped before seq " << seq;
+        }
+        previous = seq;
+        ++popped;
+    }
+    EXPECT_TRUE(expired.empty());
+    EXPECT_EQ(popped, kTickets);
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(ServeQueueDeath, SeqsMustBePositiveAndStrictlyIncreasing)
+{
+    EXPECT_DEATH(ServeQueue(4).admit(0, 0, false, 0.0), "strictly");
+    ServeQueue queue(1);
+    queue.admit(5, 0, false, 0.0);
+    queue.admit(6, 0, false, 0.0); // shed, but its seq is spent
+    EXPECT_DEATH(queue.admit(6, 1, false, 0.0), "strictly");
+    EXPECT_DEATH(queue.admit(3, 1, false, 0.0), "strictly");
 }
 
 TEST(ServeProtocol, ParseIsStrict)
