@@ -7,9 +7,11 @@
  * Two scenarios over a 2-chip heterogeneous fleet serving the resident
  * tiny-mlp plan: moderate load (rho ~0.6 per chip) and saturation
  * (offered 3x capacity against a finite queue). The simulated numbers
- * (arrived/completed/throughput) are deterministic model properties;
- * the wall-clock events-per-second figure is the perf trajectory this
- * driver exists to track. Load factors are expressed in units of the
+ * (arrived/completed/throughput) are deterministic model properties.
+ * The wall-clock events-per-second figure is a quick look only: a few
+ * milliseconds of wall per scenario is too little to track, and
+ * perfbench's sim_fleet workload times the same loop over millions of
+ * events. Load factors are expressed in units of the
  * plan's own service time, so the scenario keeps its shape if the
  * compiler's latency model moves.
  */
