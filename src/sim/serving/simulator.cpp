@@ -313,7 +313,7 @@ runServingSimulation(const SimScenario &scenario,
     std::unordered_map<u64, PendingRequest> waiting;
     waiting.reserve(
         static_cast<std::size_t>(std::min<s64>(scenario.maxQueue, 65536)));
-    std::vector<u64> expired; // dispatch's scratch
+    std::vector<u64> expired; // reused by every dispatch
     u64 nextSeq = 1;
     double lastArrival = 0.0;
 
