@@ -1,14 +1,22 @@
 /**
  * @file
- * The discrete-event calendar: a min-heap of timestamped events with a
- * deterministic total order.
+ * The discrete-event calendar: timestamped events with a deterministic
+ * total order.
  *
- * Heap order is (time, insertion tick) — two events at the same
- * instant pop in the order they were scheduled, never in an
- * implementation-defined heap order. That tick is what makes the whole
- * simulator's output byte-reproducible: simultaneous arrival and
- * completion events (common with deterministic service times) would
- * otherwise resolve differently across standard libraries.
+ * Order is (time, insertion tick) — two events at the same instant pop
+ * in the order they were scheduled, never in an implementation-defined
+ * heap order. That tick is what makes the whole simulator's output
+ * byte-reproducible: simultaneous arrival and completion events
+ * (common with deterministic service times) would otherwise resolve
+ * differently across standard libraries.
+ *
+ * The arrival stream is generated one event ahead, so the calendar
+ * never holds more than one arrival. That arrival waits in a slot of
+ * its own beside a binary min-heap that holds only completions, at
+ * most one per busy chip. Both kinds take their tick from one counter
+ * at push, and pop compares the slot with the heap's top under the
+ * same (time, tick) order, so the pop sequence is exactly that of one
+ * heap over both kinds.
  */
 
 #ifndef CMSWITCH_SIM_SERVING_EVENT_QUEUE_HPP
@@ -18,6 +26,7 @@
 #include <vector>
 
 #include "support/common.hpp"
+#include "support/logging.hpp"
 
 namespace cmswitch {
 
@@ -35,40 +44,64 @@ struct SimEvent
 class EventCalendar
 {
   public:
+    /** Schedule @p event. At most one arrival may be pending. */
     void
     push(SimEvent event)
     {
         event.tick = nextTick_++;
-        heap_.push_back(event);
-        std::push_heap(heap_.begin(), heap_.end(), after);
+        if (event.kind == SimEvent::Kind::kArrival) {
+            cmswitch_assert(!hasArrival_,
+                            "the calendar holds one pending arrival");
+            arrival_ = event;
+            hasArrival_ = true;
+            return;
+        }
+        completions_.push_back(event);
+        std::push_heap(completions_.begin(), completions_.end(), Later{});
     }
 
     /** Pop the earliest event; false when the calendar is empty. */
     bool
     pop(SimEvent *out)
     {
-        if (heap_.empty())
+        if (hasArrival_
+            && (completions_.empty()
+                || Later{}(completions_.front(), arrival_))) {
+            *out = arrival_;
+            hasArrival_ = false;
+            return true;
+        }
+        if (completions_.empty())
             return false;
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        *out = heap_.back();
-        heap_.pop_back();
+        std::pop_heap(completions_.begin(), completions_.end(), Later{});
+        *out = completions_.back();
+        completions_.pop_back();
         return true;
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
+    bool empty() const { return !hasArrival_ && completions_.empty(); }
+    std::size_t
+    size() const
+    {
+        return completions_.size() + (hasArrival_ ? 1 : 0);
+    }
 
   private:
     /** Max-heap comparator inverted: true when @p a runs after @p b. */
-    static bool
-    after(const SimEvent &a, const SimEvent &b)
+    struct Later
     {
-        if (a.time != b.time)
-            return a.time > b.time;
-        return a.tick > b.tick;
-    }
+        bool
+        operator()(const SimEvent &a, const SimEvent &b) const
+        {
+            if (a.time != b.time)
+                return a.time > b.time;
+            return a.tick > b.tick;
+        }
+    };
 
-    std::vector<SimEvent> heap_;
+    SimEvent arrival_;
+    bool hasArrival_ = false;
+    std::vector<SimEvent> completions_; ///< min-heap under Later
     u64 nextTick_ = 0;
 };
 

@@ -6,12 +6,13 @@
  * byte-determinism of the report across runs and compile thread
  * counts, dual-mode occupancy (resident plans skip reconfiguration),
  * an analytic M/D/1 mean-wait cross-check with a saturation
- * counterpart, KV-bucket plan routing, and one report pinned to a
- * committed digest.
+ * counterpart, KV-bucket plan routing, one report pinned to a
+ * committed digest, and the event calendar's own contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -19,11 +20,13 @@
 #include "arch/deha.hpp"
 #include "service/compile_service.hpp"
 #include "service/serve/serve_protocol.hpp"
+#include "sim/serving/event_queue.hpp"
 #include "sim/serving/scenario.hpp"
 #include "sim/serving/service_time.hpp"
 #include "sim/serving/simulator.hpp"
 #include "sim/timing.hpp"
 #include "support/hash.hpp"
+#include "support/random.hpp"
 
 namespace cmswitch {
 namespace {
@@ -543,6 +546,145 @@ TEST(SimServing, PinnedReportDigest)
         << " If the report change is intended, replace kGoldenSimDigest"
         << " in tests/sim_serving_test.cpp with\n    \"" << digest
         << "\"\nand record the report change in CHANGES.md.";
+}
+
+SimEvent
+arrivalAt(double time)
+{
+    SimEvent event;
+    event.time = time;
+    event.kind = SimEvent::Kind::kArrival;
+    return event;
+}
+
+SimEvent
+completionAt(double time, std::size_t chip)
+{
+    SimEvent event;
+    event.time = time;
+    event.kind = SimEvent::Kind::kCompletion;
+    event.chip = chip;
+    return event;
+}
+
+/** An arrival and a completion at one instant pop in push order,
+ *  whichever kind was pushed first. */
+TEST(EventCalendar, SimultaneousArrivalAndCompletionPopByTick)
+{
+    for (bool arrivalFirst : {true, false}) {
+        EventCalendar calendar;
+        if (arrivalFirst) {
+            calendar.push(arrivalAt(1.5));
+            calendar.push(completionAt(1.5, 3));
+        } else {
+            calendar.push(completionAt(1.5, 3));
+            calendar.push(arrivalAt(1.5));
+        }
+        EXPECT_EQ(calendar.size(), 2u);
+        SimEvent first, second, none;
+        ASSERT_TRUE(calendar.pop(&first));
+        ASSERT_TRUE(calendar.pop(&second));
+        EXPECT_FALSE(calendar.pop(&none));
+        EXPECT_TRUE(calendar.empty());
+        EXPECT_EQ(first.tick, 0u);
+        EXPECT_EQ(second.tick, 1u);
+        EXPECT_EQ(first.kind, arrivalFirst ? SimEvent::Kind::kArrival
+                                           : SimEvent::Kind::kCompletion);
+        EXPECT_EQ(second.kind, arrivalFirst ? SimEvent::Kind::kCompletion
+                                            : SimEvent::Kind::kArrival);
+    }
+}
+
+/** Completions at one instant pop in push order, not heap order; an
+ *  earlier completion pushed last still pops first. */
+TEST(EventCalendar, EqualTimeCompletionsPopByTick)
+{
+    EventCalendar calendar;
+    const std::size_t kChips[] = {5, 1, 7, 0, 3, 6, 2, 4};
+    for (std::size_t chip : kChips)
+        calendar.push(completionAt(2.0, chip));
+    calendar.push(completionAt(1.0, 9));
+    SimEvent event;
+    ASSERT_TRUE(calendar.pop(&event));
+    EXPECT_EQ(event.chip, 9u);
+    EXPECT_EQ(event.tick, 8u);
+    for (std::size_t i = 0; i < std::size(kChips); ++i) {
+        ASSERT_TRUE(calendar.pop(&event));
+        EXPECT_EQ(event.chip, kChips[i]);
+        EXPECT_EQ(event.tick, i);
+        EXPECT_DOUBLE_EQ(event.time, 2.0);
+    }
+    EXPECT_FALSE(calendar.pop(&event));
+}
+
+/**
+ * The calendar against a plain (time, tick) sort. The stream is shaped
+ * like the simulator's: at most one arrival pending, at most kChips
+ * completions, each push at or after the last popped instant, on a
+ * quarter-second grid so equal times are common.
+ */
+TEST(EventCalendar, MatchesATimeTickSortOnASeededStream)
+{
+    constexpr std::size_t kChips = 8;
+    Rng rng(20261019);
+    EventCalendar calendar;
+    std::vector<SimEvent> model; // pending events, tick stamped here
+    u64 nextTick = 0;
+    double now = 0.0;
+    std::size_t pops = 0;
+    for (int op = 0; op < 200000; ++op) {
+        bool arrivalPending = false;
+        std::size_t completions = 0;
+        for (const SimEvent &e : model) {
+            arrivalPending =
+                arrivalPending || e.kind == SimEvent::Kind::kArrival;
+            completions += e.kind == SimEvent::Kind::kCompletion;
+        }
+        ASSERT_LE(completions, kChips);
+        s64 action = rng.nextInt(0, 2);
+        double time = now + 0.25 * static_cast<double>(rng.nextInt(0, 3));
+        SimEvent event;
+        if (action == 0 && !arrivalPending) {
+            event = arrivalAt(time);
+        } else if (action == 1 && completions < kChips) {
+            event = completionAt(
+                time, static_cast<std::size_t>(rng.nextInt(0, kChips - 1)));
+        } else {
+            SimEvent got;
+            if (model.empty()) {
+                EXPECT_FALSE(calendar.pop(&got));
+                continue;
+            }
+            auto earliest = std::min_element(
+                model.begin(), model.end(),
+                [](const SimEvent &a, const SimEvent &b) {
+                    return a.time != b.time ? a.time < b.time
+                                            : a.tick < b.tick;
+                });
+            ASSERT_TRUE(calendar.pop(&got));
+            EXPECT_EQ(got.tick, earliest->tick);
+            EXPECT_EQ(got.time, earliest->time);
+            EXPECT_EQ(got.kind, earliest->kind);
+            EXPECT_EQ(got.chip, earliest->chip);
+            now = got.time;
+            model.erase(earliest);
+            ++pops;
+            continue;
+        }
+        calendar.push(event);
+        event.tick = nextTick++;
+        model.push_back(event);
+        ASSERT_EQ(calendar.size(), model.size());
+    }
+    EXPECT_GT(pops, 50000u);
+}
+
+TEST(EventCalendarDeath, SecondPendingArrivalIsFatal)
+{
+    EventCalendar calendar;
+    calendar.push(arrivalAt(1.0));
+    calendar.push(completionAt(0.5, 0));
+    EXPECT_DEATH(calendar.push(arrivalAt(2.0)), "one pending arrival");
 }
 
 } // namespace
