@@ -4,7 +4,6 @@
 #include <cmath>
 #include <future>
 #include <random>
-#include <unordered_map>
 #include <utility>
 
 #include "arch/deha.hpp"
@@ -12,6 +11,7 @@
 #include "service/serve/serve_protocol.hpp"
 #include "service/serve/serve_queue.hpp"
 #include "sim/serving/event_queue.hpp"
+#include "sim/serving/seq_table.hpp"
 #include "sim/serving/service_time.hpp"
 #include "sim/timing.hpp"
 #include "support/json.hpp"
@@ -307,13 +307,15 @@ runServingSimulation(const SimScenario &scenario,
     ArrivalStream arrivals(scenario.arrival, horizon, engine);
     EventCalendar calendar;
     ServeQueue queue(scenario.maxQueue);
-    // seq -> queued request: at most maxQueue entries, since only
+    // seq -> queued request: at most maxQueue live entries, since only
     // admitted requests enter. The reservation is capped so a huge
-    // max_queue preallocates nothing.
-    std::unordered_map<u64, PendingRequest> waiting;
+    // max_queue preallocates little.
+    SeqTable<PendingRequest> waiting;
     waiting.reserve(
-        static_cast<std::size_t>(std::min<s64>(scenario.maxQueue, 65536)));
+        2 * static_cast<std::size_t>(std::min<s64>(scenario.maxQueue, 65536))
+        + SeqTable<PendingRequest>::kSlack);
     std::vector<u64> expired; // reused by every dispatch
+    std::size_t freeChips = fleet.size();
     u64 nextSeq = 1;
     double lastArrival = 0.0;
 
@@ -327,22 +329,11 @@ runServingSimulation(const SimScenario &scenario,
         }
     };
     auto shedWaiting = [&](u64 seq, bool deadline) {
-        auto it = waiting.find(seq);
-        countShed(it->second.workload, deadline);
-        waiting.erase(it);
+        countShed(waiting.take(seq).workload, deadline);
     };
 
     auto dispatch = [&](double now) {
-        for (;;) {
-            s64 free = -1;
-            for (std::size_t i = 0; i < fleet.size(); ++i) {
-                if (!fleet[i].busy) {
-                    free = static_cast<s64>(i);
-                    break;
-                }
-            }
-            if (free < 0)
-                return;
+        while (freeChips > 0) {
             u64 seq = 0;
             expired.clear();
             bool got = queue.pop(now, &seq, &expired);
@@ -350,27 +341,26 @@ runServingSimulation(const SimScenario &scenario,
                 shedWaiting(expiredSeq, /*deadline=*/true);
             if (!got)
                 return;
-            auto it = waiting.find(seq);
-            PendingRequest request = it->second;
-            waiting.erase(it);
+            PendingRequest request = waiting.take(seq);
             // Placement: a free chip whose arrays already hold this
             // request's plan serves it without reconfiguring; lowest
             // instance index wins ties. Otherwise the first free chip
             // pays the install.
-            std::size_t chosen = static_cast<std::size_t>(free);
+            const std::vector<s64> &planByPreset =
+                planIndex[request.workload][request.bucket];
+            std::size_t chosen = fleet.size();
             for (std::size_t i = 0; i < fleet.size(); ++i) {
                 if (fleet[i].busy)
                     continue;
-                s64 plan = planIndex[request.workload][request.bucket]
-                                    [fleet[i].preset];
-                if (fleet[i].residentPlan == plan) {
+                if (chosen == fleet.size())
+                    chosen = i;
+                if (fleet[i].residentPlan == planByPreset[fleet[i].preset]) {
                     chosen = i;
                     break;
                 }
             }
             ChipState &chip = fleet[chosen];
-            s64 planId = planIndex[request.workload][request.bucket]
-                                  [chip.preset];
+            s64 planId = planByPreset[chip.preset];
             const SimPlan &plan =
                 out->plans[static_cast<std::size_t>(planId)];
             SimChipUse &use = out->chips[chip.use];
@@ -384,6 +374,7 @@ runServingSimulation(const SimScenario &scenario,
                     cyclesToSeconds(plan.reconfigureCycles, use.clockGhz);
             }
             chip.busy = true;
+            --freeChips;
             chip.workload = request.workload;
             chip.plan = static_cast<std::size_t>(planId);
             chip.arrivalSeconds = request.arrivalSeconds;
@@ -444,7 +435,7 @@ runServingSimulation(const SimScenario &scenario,
                 request.workload = w;
                 request.bucket = bucket;
                 request.arrivalSeconds = event.time;
-                waiting.emplace(seq, request);
+                waiting.insert(seq, request);
             }
             double nextTime = 0.0;
             if (arrivals.next(&nextTime)) {
@@ -458,6 +449,7 @@ runServingSimulation(const SimScenario &scenario,
             ChipState &chip = fleet[event.chip];
             SimChipUse &use = out->chips[chip.use];
             chip.busy = false;
+            ++freeChips;
             ++use.served;
             use.busySeconds += chip.serviceSeconds;
             ++out->plans[chip.plan].served;
