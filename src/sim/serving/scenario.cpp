@@ -265,10 +265,21 @@ parseSimScenario(const std::string &text, SimScenario *out,
         return jsonFail(error, "scenario needs a non-empty 'chips' "
                                "array");
     out->chips.clear();
+    s64 instances = 0;
     for (std::size_t i = 0; i < chips->items.size(); ++i) {
         SimChipSpec spec;
         if (!parseChipSpec(chips->items[i], i, &spec, error))
             return false;
+        // The simulator holds state per instance, so an unbounded count
+        // would allocate without limit before the first event.
+        if (spec.count > kSimMaxFleetInstances - instances)
+            return jsonFail(error,
+                            "chips[" + std::to_string(i) + "]: 'count' "
+                                + std::to_string(spec.count)
+                                + " takes the fleet past "
+                                + std::to_string(kSimMaxFleetInstances)
+                                + " instances");
+        instances += spec.count;
         out->chips.push_back(std::move(spec));
     }
 

@@ -36,6 +36,9 @@ namespace cmswitch {
 inline constexpr const char *kSimScenarioSchema =
     "cmswitch-sim-scenario-v1";
 
+/** The most chip instances a scenario's fleet may total. */
+inline constexpr s64 kSimMaxFleetInstances = 65536;
+
 /** One fleet entry: @p count identical instances of a chip preset. */
 struct SimChipSpec
 {

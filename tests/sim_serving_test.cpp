@@ -151,6 +151,25 @@ TEST(SimScenario, ParserRejectsBadDocuments)
              "chips": [{"chip": "dynaplasia"}],
              "workloads": [{"model": "tiny-mlp"}]})",
          "unknown arrival process"},
+        // The fleet totals at most kSimMaxFleetInstances instances; the
+        // error names the entry that crosses the cap.
+        {R"({"schema": "cmswitch-sim-scenario-v1", "duration_seconds": 1.0,
+             "arrival": {"process": "poisson", "rate_per_second": 1.0},
+             "chips": [{"chip": "dynaplasia", "count": 4000000000}],
+             "workloads": [{"model": "tiny-mlp"}]})",
+         "chips[0]: 'count' 4000000000 takes the fleet past 65536"},
+        {R"({"schema": "cmswitch-sim-scenario-v1", "duration_seconds": 1.0,
+             "arrival": {"process": "poisson", "rate_per_second": 1.0},
+             "chips": [{"chip": "dynaplasia", "count": 65536},
+                       {"chip": "prime"}],
+             "workloads": [{"model": "tiny-mlp"}]})",
+         "chips[1]: 'count' 1 takes the fleet past 65536"},
+        {R"({"schema": "cmswitch-sim-scenario-v1", "duration_seconds": 1.0,
+             "arrival": {"process": "poisson", "rate_per_second": 1.0},
+             "chips": [{"chip": "prime", "count": 9223372036854775807},
+                       {"chip": "prime", "count": 9223372036854775807}],
+             "workloads": [{"model": "tiny-mlp"}]})",
+         "chips[0]"},
     };
     for (const Case &c : kCases) {
         SimScenario scenario;
@@ -195,6 +214,21 @@ TEST(SimScenario, ParserRejectsBadDocuments)
             "workloads": [{"model": "tiny-mlp"}]})";
         EXPECT_FALSE(parseSimScenario(doc, &scenario, &error));
         EXPECT_NE(error.find("unknown chip"), std::string::npos) << error;
+    }
+    {
+        // A fleet of exactly kSimMaxFleetInstances parses.
+        SimScenario scenario;
+        std::string error;
+        const char *doc = R"({"schema": "cmswitch-sim-scenario-v1",
+            "duration_seconds": 1.0,
+            "arrival": {"process": "poisson", "rate_per_second": 1.0},
+            "chips": [{"chip": "dynaplasia", "count": 65535},
+                      {"chip": "prime"}],
+            "workloads": [{"model": "tiny-mlp"}]})";
+        EXPECT_TRUE(parseSimScenario(doc, &scenario, &error)) << error;
+        ASSERT_EQ(scenario.chips.size(), 2u);
+        EXPECT_EQ(scenario.chips[0].count + scenario.chips[1].count,
+                  kSimMaxFleetInstances);
     }
     {
         SimScenario scenario;
