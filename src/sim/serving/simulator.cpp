@@ -1,9 +1,7 @@
 #include "sim/serving/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
-#include <random>
 #include <utility>
 
 #include "arch/deha.hpp"
@@ -15,43 +13,11 @@
 #include "sim/serving/service_time.hpp"
 #include "sim/timing.hpp"
 #include "support/json.hpp"
+#include "support/random.hpp"
 
 namespace cmswitch {
 
 namespace {
-
-/**
- * Deterministic draws from raw mt19937_64 words. The std uniform and
- * exponential distributions are implementation-defined — the same seed
- * gives different streams across standard libraries — so the
- * byte-identical-report contract maps engine words by hand.
- */
-double
-uniformDouble(std::mt19937_64 &engine)
-{
-    // Top 53 bits -> [0, 1) with full double granularity.
-    return static_cast<double>(engine() >> 11) * 0x1.0p-53;
-}
-
-/** Exponential with @p rate events/second (rate > 0). */
-double
-exponentialDraw(std::mt19937_64 &engine, double rate)
-{
-    // -log(1 - U) via log1p: exact near U = 0, and U < 1 strictly so
-    // the draw is always finite.
-    return -std::log1p(-uniformDouble(engine)) / rate;
-}
-
-/** Uniform integer in [lo, hi] inclusive. */
-s64
-uniformInt(std::mt19937_64 &engine, s64 lo, s64 hi)
-{
-    double span = static_cast<double>(hi - lo + 1);
-    s64 offset = static_cast<s64>(uniformDouble(engine) * span);
-    if (offset > hi - lo) // guard the U -> 1.0 rounding edge
-        offset = hi - lo;
-    return lo + offset;
-}
 
 /**
  * Open-loop arrival stream. Poisson and on/off generate until the
@@ -65,7 +31,7 @@ class ArrivalStream
 {
   public:
     ArrivalStream(const SimArrivalSpec &spec, double horizon,
-                  std::mt19937_64 &engine)
+                  Xoshiro256StarStar &engine)
         : spec_(spec), horizon_(horizon), engine_(engine)
     {
         if (spec_.process == SimArrivalSpec::Process::kOnOff) {
@@ -120,7 +86,7 @@ class ArrivalStream
   private:
     const SimArrivalSpec &spec_;
     double horizon_;
-    std::mt19937_64 &engine_;
+    Xoshiro256StarStar &engine_;
     double time_ = 0.0;
     bool on_ = false;
     double phaseEnd_ = 0.0;
@@ -299,7 +265,7 @@ runServingSimulation(const SimScenario &scenario,
     }
 
     // ---- The event loop. One engine, seeded from the scenario alone.
-    std::mt19937_64 engine(scenario.seed);
+    Xoshiro256StarStar engine(scenario.seed);
     double horizon =
         scenario.arrival.process == SimArrivalSpec::Process::kTrace
             ? scenario.arrival.timesSeconds.back() + 1.0

@@ -24,11 +24,12 @@
  *
  * Determinism contract (pinned by sim_serving_test and sim_smoke):
  * all randomness flows from the scenario's seed through one
- * mt19937_64, draws are hand-mapped from raw engine words (std::
- * distributions are implementation-defined), simultaneous events
- * resolve by insertion tick, and compiled plans are byte-identical
- * across thread counts — so two runs of one scenario, at any
- * `--threads`, emit identical bytes.
+ * xoshiro256** engine (support/random.hpp), draws are hand-mapped from
+ * raw engine words (the standard library's distributions are
+ * implementation-defined), simultaneous events resolve by insertion
+ * tick, and compiled plans are byte-identical across thread counts —
+ * so two runs of one scenario, at any `--threads`, emit identical
+ * bytes under any standard library.
  */
 
 #ifndef CMSWITCH_SIM_SERVING_SIMULATOR_HPP

@@ -528,7 +528,7 @@ TEST(SimServing, KvBucketsRouteRequestsToPlans)
  * Every build — compiler, standard library, optimisation level —
  * must emit these bytes.
  */
-constexpr const char *kGoldenSimDigest = "9ab94fb3f1ca7cc2";
+constexpr const char *kGoldenSimDigest = "f2e0a7d0425484ff";
 
 /**
  * Pinned report bytes. Two slow chips under on/off bursts against a

@@ -322,6 +322,99 @@ TEST(Mix64, DistinctOnSequentialKeys)
     EXPECT_EQ(seen.size(), 4096u);
 }
 
+/** splitmix64's published test vector (seed 1234567). */
+TEST(Rng, SplitMix64PublishedVector)
+{
+    u64 state = 1234567;
+    EXPECT_EQ(splitmix64(&state), 6457827717110365317ull);
+    EXPECT_EQ(splitmix64(&state), 3203168211198807973ull);
+    EXPECT_EQ(splitmix64(&state), 9817491932198370423ull);
+}
+
+/*
+ * The golden words and draws below come from an independent
+ * reimplementation of splitmix64 seeding, xoshiro256** and the draw
+ * mappings in arbitrary-precision integers and IEEE doubles, not from
+ * this code's output. Every standard library must reproduce them.
+ */
+
+TEST(Rng, XoshiroGoldenWords)
+{
+    Xoshiro256StarStar zero(0);
+    EXPECT_EQ(zero.next(), 0x99ec5f36cb75f2b4ull);
+    EXPECT_EQ(zero.next(), 0xbf6e1f784956452aull);
+    EXPECT_EQ(zero.next(), 0x1a5f849d4933e6e0ull);
+    EXPECT_EQ(zero.next(), 0x6aa594f1262d2d2cull);
+    Xoshiro256StarStar other(2026);
+    EXPECT_EQ(other.next(), 0x92e011592e98ae15ull);
+    EXPECT_EQ(other.next(), 0x489f37946d6d18d8ull);
+    EXPECT_EQ(other.next(), 0xd0009e279d9cdedaull);
+    EXPECT_EQ(other.next(), 0xe4c7dca786d56702ull);
+}
+
+TEST(Rng, GoldenDraws)
+{
+    Xoshiro256StarStar uniform(42);
+    EXPECT_EQ(uniformDouble(uniform), 0x1.5780b2e0c2ec0p-4);
+    EXPECT_EQ(uniformDouble(uniform), 0x1.84136619b444ep-2);
+    EXPECT_EQ(uniformDouble(uniform), 0x1.5c2ea66473c93p-1);
+
+    // log1p is the one libm call; allow its last-place rounding.
+    Xoshiro256StarStar exponential(7);
+    EXPECT_DOUBLE_EQ(exponentialDraw(exponential, 2.5), 0.48235850409897985);
+    EXPECT_DOUBLE_EQ(exponentialDraw(exponential, 2.5), 0.13070846632172364);
+    EXPECT_DOUBLE_EQ(exponentialDraw(exponential, 2.5), 0.7321023227653862);
+
+    Xoshiro256StarStar integer(9);
+    for (s64 expected : {2, 129, 68, 376, 472, 382})
+        EXPECT_EQ(uniformInt(integer, 1, 512), expected);
+
+    Rng defaultSeed;
+    for (s64 expected : {-74, -123, 14, 34, 7, 73})
+        EXPECT_EQ(defaultSeed.nextInt8(), expected);
+    Rng ints(1);
+    for (s64 expected : {3, 1, 2, 0, 3, -2})
+        EXPECT_EQ(ints.nextInt(-3, 5), expected);
+    Rng doubles(1);
+    EXPECT_EQ(doubles.nextDouble(0.25, 0.75), 0.6014609165794252);
+    EXPECT_EQ(doubles.nextDouble(0.25, 0.75), 0.5102183099694284);
+    EXPECT_EQ(doubles.nextDouble(0.25, 0.75), 0.5370528500098612);
+}
+
+/** nextInt over spans up to the full s64 range, with no signed
+ *  overflow on the way (the UBSan job runs this suite). */
+TEST(Rng, NextIntSpansTheFullS64Range)
+{
+    constexpr s64 kMin = std::numeric_limits<s64>::min();
+    constexpr s64 kMax = std::numeric_limits<s64>::max();
+    Rng full(5);
+    EXPECT_EQ(full.nextInt(kMin, kMax), -3903123922814187520);
+    EXPECT_EQ(full.nextInt(kMin, kMax), 1883086673733361664);
+    EXPECT_EQ(full.nextInt(kMin, kMax), 2758650265534707712);
+    EXPECT_EQ(full.nextInt(kMin, kMax), 5931555310745630720);
+    Rng halves(5);
+    EXPECT_EQ(halves.nextInt(-1, kMax), 2660124057020294143);
+    EXPECT_EQ(halves.nextInt(-1, kMax), 5553229355294068735);
+    EXPECT_EQ(halves.nextInt(kMin, 0), -3232360885660034048);
+    EXPECT_EQ(halves.nextInt(kMin, 0), -1645908363054572544);
+
+    Rng rng(11);
+    bool negative = false, positive = false;
+    for (int i = 0; i < 1000; ++i) {
+        s64 v = rng.nextInt(kMin, kMax);
+        negative = negative || v < 0;
+        positive = positive || v > 0;
+        EXPECT_EQ(rng.nextInt(kMax, kMax), kMax);
+        EXPECT_EQ(rng.nextInt(kMin, kMin), kMin);
+        s64 high = rng.nextInt(kMax - 2, kMax);
+        EXPECT_GE(high, kMax - 2);
+        s64 low = rng.nextInt(kMin, kMin + 2);
+        EXPECT_LE(low, kMin + 2);
+    }
+    EXPECT_TRUE(negative);
+    EXPECT_TRUE(positive);
+}
+
 TEST(Rng, RangesRespected)
 {
     Rng rng(1);
