@@ -699,10 +699,10 @@ TEST(EventCalendar, MatchesATimeTickSortOnASeededStream)
                                             : a.tick < b.tick;
                 });
             ASSERT_TRUE(calendar.pop(&got));
-            EXPECT_EQ(got.tick, earliest->tick);
-            EXPECT_EQ(got.time, earliest->time);
-            EXPECT_EQ(got.kind, earliest->kind);
-            EXPECT_EQ(got.chip, earliest->chip);
+            ASSERT_EQ(got.tick, earliest->tick);
+            ASSERT_EQ(got.time, earliest->time);
+            ASSERT_EQ(got.kind, earliest->kind);
+            ASSERT_EQ(got.chip, earliest->chip);
             now = got.time;
             model.erase(earliest);
             ++pops;
