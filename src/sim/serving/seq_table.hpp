@@ -2,13 +2,13 @@
  * @file
  * A flat seq -> value table for the simulator's waiting requests.
  *
- * The serve queue hands out seqs in increasing order, and a request
- * enters the table once, at its arrival, so appending keeps the entries
- * sorted by seq and a lookup is a binary search. Taking an entry leaves
- * a tombstone; once the entries outnumber 2·live + kSlack, the table
- * drops its tombstones in place. It therefore never holds more than
- * 2·live + kSlack entries, and once its vector has grown to a run's
- * peak it allocates nothing more.
+ * The simulator numbers requests with increasing seqs, as the serve
+ * queue requires, and a request enters the table once, at its arrival,
+ * so appending keeps the entries sorted by seq and a lookup is a binary
+ * search. Taking an entry leaves a tombstone; once the entries
+ * outnumber 2·live + kSlack, the table drops its tombstones in place.
+ * It therefore never holds more than 2·live + kSlack entries, and once
+ * its vector has grown to a run's peak it allocates nothing more.
  */
 
 #ifndef CMSWITCH_SIM_SERVING_SEQ_TABLE_HPP
