@@ -214,7 +214,7 @@ ServeEngine::handleCompile(const ServeRequest &request)
             } else {
                 if (admission.kind
                     == ServeQueue::Admission::Kind::kShedVictim) {
-                    auto victimIt = queued_.find(admission.victim);
+                    auto victimIt = queued_.find(admission.victim.seq);
                     victim = std::move(victimIt->second);
                     queued_.erase(victimIt);
                     keyToSeq_.erase(victim.key);
@@ -276,11 +276,11 @@ ServeEngine::workerLoop()
                 continue;   // another worker took the last ticket
             }
             double now = nowSeconds();
-            std::vector<u64> expired;
-            u64 seq = 0;
-            got = queue_.pop(now, &seq, &expired);
-            for (u64 expiredSeq : expired) {
-                auto it = queued_.find(expiredSeq);
+            std::vector<ServeQueue::Handle> expired;
+            ServeQueue::Handle popped;
+            got = queue_.pop(now, &popped, &expired);
+            for (const ServeQueue::Handle &ticket : expired) {
+                auto it = queued_.find(ticket.seq);
                 Group group = std::move(it->second);
                 queued_.erase(it);
                 keyToSeq_.erase(group.key);
@@ -289,8 +289,8 @@ ServeEngine::workerLoop()
                 expiredGroups.push_back(std::move(group));
             }
             if (got) {
-                auto it = queued_.find(seq);
-                workSeq = seq;
+                auto it = queued_.find(popped.seq);
+                workSeq = popped.seq;
                 workRequest = it->second.request;
                 enqueuedSeconds = it->second.enqueuedSeconds;
                 popSeconds = now;
@@ -298,7 +298,7 @@ ServeEngine::workerLoop()
                 // The group stays findable through keyToSeq_ while it
                 // compiles so duplicates arriving now still coalesce;
                 // riders attached meanwhile are picked up at completion.
-                inflight_.emplace(seq, std::move(it->second));
+                inflight_.emplace(workSeq, std::move(it->second));
                 queued_.erase(it);
             }
             shedDepth = queue_.size();

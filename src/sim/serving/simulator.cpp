@@ -1,6 +1,5 @@
 #include "sim/serving/simulator.hpp"
 
-#include <algorithm>
 #include <future>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "service/serve/serve_protocol.hpp"
 #include "service/serve/serve_queue.hpp"
 #include "sim/serving/event_queue.hpp"
-#include "sim/serving/seq_table.hpp"
 #include "sim/serving/service_time.hpp"
 #include "sim/timing.hpp"
 #include "support/json.hpp"
@@ -273,14 +271,10 @@ runServingSimulation(const SimScenario &scenario,
     ArrivalStream arrivals(scenario.arrival, horizon, engine);
     EventCalendar calendar;
     ServeQueue queue(scenario.maxQueue);
-    // seq -> queued request: at most maxQueue live entries, since only
-    // admitted requests enter. The reservation is capped so a huge
-    // max_queue preallocates little.
-    SeqTable<PendingRequest> waiting;
-    waiting.reserve(
-        2 * static_cast<std::size_t>(std::min<s64>(scenario.maxQueue, 65536))
-        + SeqTable<PendingRequest>::kSlack);
-    std::vector<u64> expired; // reused by every dispatch
+    // The queued requests by queue slot. Slots stay below the most
+    // requests that have waited at once, so this grows to that peak.
+    std::vector<PendingRequest> waiting;
+    std::vector<ServeQueue::Handle> expired; // reused by every dispatch
     std::size_t freeChips = fleet.size();
     u64 nextSeq = 1;
     double lastArrival = 0.0;
@@ -294,20 +288,20 @@ runServingSimulation(const SimScenario &scenario,
             ++out->workloads[workload].shedAdmission;
         }
     };
-    auto shedWaiting = [&](u64 seq, bool deadline) {
-        countShed(waiting.take(seq).workload, deadline);
+    auto shedWaiting = [&](ServeQueue::Handle ticket, bool deadline) {
+        countShed(waiting[ticket.slot].workload, deadline);
     };
 
     auto dispatch = [&](double now) {
         while (freeChips > 0) {
-            u64 seq = 0;
+            ServeQueue::Handle popped;
             expired.clear();
-            bool got = queue.pop(now, &seq, &expired);
-            for (u64 expiredSeq : expired)
-                shedWaiting(expiredSeq, /*deadline=*/true);
+            bool got = queue.pop(now, &popped, &expired);
+            for (ServeQueue::Handle ticket : expired)
+                shedWaiting(ticket, /*deadline=*/true);
             if (!got)
                 return;
-            PendingRequest request = waiting.take(seq);
+            PendingRequest request = waiting[popped.slot];
             // Placement: a free chip whose arrays already hold this
             // request's plan serves it without reconfiguring; lowest
             // instance index wins ties. Otherwise the first free chip
@@ -394,14 +388,17 @@ runServingSimulation(const SimScenario &scenario,
             if (admission.kind == ServeQueue::Admission::Kind::kShedSelf) {
                 countShed(w, /*deadline=*/false); // never waited
             } else {
+                // The victim's slot may be the one just handed out, so
+                // count it before the new request takes the slot.
                 if (admission.kind
                     == ServeQueue::Admission::Kind::kShedVictim)
                     shedWaiting(admission.victim, /*deadline=*/false);
-                PendingRequest request;
+                if (admission.slot >= waiting.size())
+                    waiting.resize(admission.slot + 1);
+                PendingRequest &request = waiting[admission.slot];
                 request.workload = w;
                 request.bucket = bucket;
                 request.arrivalSeconds = event.time;
-                waiting.insert(seq, request);
             }
             double nextTime = 0.0;
             if (arrivals.next(&nextTime)) {

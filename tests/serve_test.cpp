@@ -3,8 +3,9 @@
  * Tests for the serve daemon's building blocks: the ServeQueue
  * admission gate (priority-then-FIFO rejection order, deadline expiry
  * while queued — both driven by a fake clock, fully deterministic —
- * and seeded differential streams against the linear-scan queue it
- * replaced),
+ * seeded differential streams against the linear-scan queue it
+ * replaced, the slots it hands out, and a warm queue that allocates
+ * nothing),
  * the strict wire-protocol parser/resolver, and the ServeEngine's
  * status-v3 report under a fixed hold/release request script
  * (cumulative quantiles on demand, interval deltas only on periodic
@@ -13,8 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,10 +30,69 @@
 #include "service/serve/serve_queue.hpp"
 #include "support/json_parse.hpp"
 
+namespace {
+
+/** Global operator new calls in this process, for the warm-queue test. */
+std::atomic<long long> gNewCalls{0};
+
+} // namespace
+
+// Counting replacements of the global allocation functions. They stay
+// out of line: inlined, GCC would pair a free() with the operator new
+// that the caller sees and warn of a mismatch.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    gNewCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 namespace cmswitch {
 namespace {
 
 using Kind = ServeQueue::Admission::Kind;
+using Handle = ServeQueue::Handle;
+
+std::vector<u64>
+seqsOf(const std::vector<Handle> &tickets)
+{
+    std::vector<u64> seqs;
+    for (const Handle &ticket : tickets)
+        seqs.push_back(ticket.seq);
+    return seqs;
+}
 
 TEST(ServeQueue, RejectionOrderIsPriorityThenFifo)
 {
@@ -45,7 +110,7 @@ TEST(ServeQueue, RejectionOrderIsPriorityThenFifo)
     // equal-priority band the *newest* loses (seq 2, not seq 1).
     ServeQueue::Admission eviction = queue.admit(5, 9, false, 0.0);
     EXPECT_EQ(eviction.kind, Kind::kShedVictim);
-    EXPECT_EQ(eviction.victim, 2u);
+    EXPECT_EQ(eviction.victim.seq, 2u);
     EXPECT_EQ(queue.size(), 2);
 }
 
@@ -57,7 +122,7 @@ TEST(ServeQueue, VictimComesFromTheLowestPriorityBand)
     queue.admit(3, 5, false, 0.0);
     ServeQueue::Admission eviction = queue.admit(4, 9, false, 0.0);
     EXPECT_EQ(eviction.kind, Kind::kShedVictim);
-    EXPECT_EQ(eviction.victim, 2u);
+    EXPECT_EQ(eviction.victim.seq, 2u);
 }
 
 TEST(ServeQueue, PopOrdersByPriorityDeadlineThenFifo)
@@ -72,11 +137,11 @@ TEST(ServeQueue, PopOrdersByPriorityDeadlineThenFifo)
 
     // Priority first; within a band a deadline outranks none and the
     // earlier deadline wins; all else FIFO by admission sequence.
-    std::vector<u64> expired;
+    std::vector<Handle> expired;
     std::vector<u64> order;
-    u64 seq = 0;
-    while (queue.pop(0.0, &seq, &expired))
-        order.push_back(seq);
+    Handle popped;
+    while (queue.pop(0.0, &popped, &expired))
+        order.push_back(popped.seq);
     EXPECT_TRUE(expired.empty());
     EXPECT_EQ(order, (std::vector<u64>{5, 4, 3, 2, 1, 6}));
 }
@@ -89,33 +154,37 @@ TEST(ServeQueue, PopShedsExpiredTicketsBeforeSelecting)
     queue.admit(1, 9, true, 1.0);
     queue.admit(2, 0, false, 0.0);
 
-    std::vector<u64> expired;
-    u64 seq = 0;
-    ASSERT_TRUE(queue.pop(2.0, &seq, &expired));
-    EXPECT_EQ(expired, std::vector<u64>{1});
-    EXPECT_EQ(seq, 2u);
+    std::vector<Handle> expired;
+    Handle popped;
+    ASSERT_TRUE(queue.pop(2.0, &popped, &expired));
+    EXPECT_EQ(seqsOf(expired), std::vector<u64>{1});
+    EXPECT_EQ(popped.seq, 2u);
 
     // A deadline exactly at `now` counts as expired, and a sweep that
     // empties the queue reports so.
     queue.admit(3, 5, true, 3.0);
     expired.clear();
-    EXPECT_FALSE(queue.pop(3.0, &seq, &expired));
-    EXPECT_EQ(expired, std::vector<u64>{3});
+    EXPECT_FALSE(queue.pop(3.0, &popped, &expired));
+    EXPECT_EQ(seqsOf(expired), std::vector<u64>{3});
     EXPECT_TRUE(queue.empty());
 }
 
 /**
- * The linear-scan ServeQueue that the heap-indexed one replaced, kept
+ * The linear-scan ServeQueue that the indexed one replaced, kept
  * verbatim as the differential oracle: every admission and pop of the
  * library queue must match it. O(n) per operation, which is why it
- * lives here and not in the library.
+ * lives here and not in the library. It names tickets by seq only.
  */
 class ReferenceServeQueue
 {
   public:
     explicit ReferenceServeQueue(s64 maxQueue) : maxQueue_(maxQueue) {}
 
-    using Admission = ServeQueue::Admission;
+    struct Admission
+    {
+        Kind kind = Kind::kAdmitted;
+        u64 victim = 0;
+    };
 
     struct Ticket
     {
@@ -134,10 +203,10 @@ class ReferenceServeQueue
             // Strictly higher priority displaces; equal never does — an
             // arrival must not bump a peer that got there first.
             if (priority <= tickets_[victim].priority) {
-                out.kind = Admission::Kind::kShedSelf;
+                out.kind = Kind::kShedSelf;
                 return out;
             }
-            out.kind = Admission::Kind::kShedVictim;
+            out.kind = Kind::kShedVictim;
             out.victim = tickets_[victim].seq;
             tickets_.erase(tickets_.begin()
                            + static_cast<std::ptrdiff_t>(victim));
@@ -263,7 +332,10 @@ struct QueueStreamTally
  * compare them op for op: every admission (kind and victim), every
  * pop (result, seq, expired list) and size(). The admit share swings
  * between phases so the queue both fills up (shedding, evicting) and
- * drains (pops on an empty queue).
+ * drains (pops on an empty queue). A slot -> seq map of the waiting
+ * tickets checks the slots as well: each admission takes a free slot
+ * below the peak count of waiting tickets, and every victim, popped
+ * and expired ticket carries the slot it was admitted with.
  */
 QueueStreamTally
 expectSameDecisions(const QueueStream &stream)
@@ -277,8 +349,18 @@ expectSameDecisions(const QueueStream &stream)
     ReferenceServeQueue reference(stream.maxQueue);
     u64 nextSeq = 1;
     double now = 0.0;
-    std::vector<u64> expired;
+    std::vector<Handle> expired;
     std::vector<u64> referenceExpired;
+    std::map<u32, u64> waitingBySlot;
+    s64 peak = 0; // most tickets that have waited at once
+    auto leave = [&](const Handle &ticket, const char *how) {
+        auto it = waitingBySlot.find(ticket.slot);
+        EXPECT_TRUE(it != waitingBySlot.end() && it->second == ticket.seq)
+            << how << " seq " << ticket.seq << " names slot " << ticket.slot
+            << ", which it was not admitted with";
+        if (it != waitingBySlot.end())
+            waitingBySlot.erase(it);
+    };
     QueueStreamTally tally;
     const s64 phase = std::max<s64>(8, 4 * stream.maxQueue);
     for (s64 op = 0; op < stream.ops; ++op) {
@@ -290,28 +372,46 @@ expectSameDecisions(const QueueStream &stream)
                 drawTicket(rng, stream, nextSeq++, now);
             ServeQueue::Admission got =
                 queue.admit(t.seq, t.priority, t.hasDeadline, t.deadline);
-            ServeQueue::Admission want = reference.admit(
+            ReferenceServeQueue::Admission want = reference.admit(
                 t.seq, t.priority, t.hasDeadline, t.deadline);
             EXPECT_EQ(got.kind, want.kind) << "admit of seq " << t.seq;
-            EXPECT_EQ(got.victim, want.victim) << "admit of seq " << t.seq;
+            if (want.kind == Kind::kShedVictim) {
+                EXPECT_EQ(got.victim.seq, want.victim)
+                    << "admit of seq " << t.seq;
+                leave(got.victim, "victim");
+            }
+            if (want.kind != Kind::kShedSelf) {
+                peak = std::max(peak, reference.size());
+                EXPECT_LT(static_cast<s64>(got.slot), peak)
+                    << "admit of seq " << t.seq;
+                EXPECT_EQ(waitingBySlot.count(got.slot), 0u)
+                    << "seq " << t.seq << " was admitted to slot "
+                    << got.slot << ", which is not free";
+                waitingBySlot[got.slot] = t.seq;
+            }
             tally.shedSelf += want.kind == Kind::kShedSelf;
             tally.victims += want.kind == Kind::kShedVictim;
         } else {
             expired.clear();
             referenceExpired.clear();
-            u64 seq = 0;
+            Handle popped;
             u64 referenceSeq = 0;
-            bool got = queue.pop(now, &seq, &expired);
+            bool got = queue.pop(now, &popped, &expired);
             bool want = reference.pop(now, &referenceSeq, &referenceExpired);
             EXPECT_EQ(got, want) << "pop at op " << op;
-            EXPECT_EQ(seq, referenceSeq) << "pop at op " << op;
-            EXPECT_EQ(expired, referenceExpired) << "pop at op " << op;
+            EXPECT_EQ(popped.seq, referenceSeq) << "pop at op " << op;
+            EXPECT_EQ(seqsOf(expired), referenceExpired) << "pop at op " << op;
+            for (const Handle &ticket : expired)
+                leave(ticket, "expired");
+            if (got)
+                leave(popped, "popped");
             tally.pops += want;
             tally.emptyPops += !want;
             tally.expired += static_cast<s64>(referenceExpired.size());
         }
         EXPECT_EQ(queue.size(), reference.size()) << "after op " << op;
         EXPECT_EQ(queue.empty(), reference.size() == 0);
+        EXPECT_EQ(static_cast<s64>(waitingBySlot.size()), reference.size());
         if (::testing::Test::HasFailure())
             break; // the first divergence is the one worth reading
     }
@@ -349,7 +449,7 @@ TEST(ServeQueue, MatchesLinearScanReferenceOnSeededStreams)
 
 TEST(ServeQueue, MatchesReferenceOverAMillionOpsAtMaxQueue4)
 {
-    // A small, always-busy queue: the stale-entry bound forces a heap
+    // A small, always-busy queue: the dead-entry bound forces a list
     // rebuild every few hundred operations, so this stream cycles it
     // thousands of times.
     QueueStream stream{2026, 4, true, true, 1000000};
@@ -379,11 +479,12 @@ TEST(ServeQueue, FillAndDrainFollowsRunsBefore)
     ASSERT_EQ(queue.size(), kTickets);
 
     std::vector<bool> seen(kTickets + 1, false);
-    std::vector<u64> expired;
+    std::vector<Handle> expired;
     u64 previous = 0;
-    u64 seq = 0;
+    Handle ticket;
     s64 popped = 0;
-    while (queue.pop(0.0, &seq, &expired)) { // before every deadline
+    while (queue.pop(0.0, &ticket, &expired)) { // before every deadline
+        const u64 seq = ticket.seq;
         ASSERT_GE(seq, 1u);
         ASSERT_LE(seq, static_cast<u64>(kTickets));
         ASSERT_FALSE(seen[seq]) << "seq " << seq << " popped twice";
@@ -399,6 +500,106 @@ TEST(ServeQueue, FillAndDrainFollowsRunsBefore)
     EXPECT_TRUE(expired.empty());
     EXPECT_EQ(popped, kTickets);
     EXPECT_TRUE(queue.empty());
+}
+
+/** One recorded operation of a sim_fleet-shaped stream. */
+struct QueueOp
+{
+    bool admit = false;
+    s64 priority = 0; ///< 1 bears a deadline, 0 none
+    double now = 0.0;
+};
+
+/**
+ * Replay @p ops through @p queue with seqs after @p seqBase and times
+ * after @p timeBase, then drain it. Returns an FNV-style digest of
+ * every decision relative to the bases, and allocates nothing itself
+ * once @p expired has grown.
+ */
+u64
+replay(ServeQueue &queue, const std::vector<QueueOp> &ops, u64 seqBase,
+       double timeBase, double deadlineSeconds,
+       std::vector<Handle> *expired, QueueStreamTally *tally)
+{
+    u64 digest = 0xcbf29ce484222325ull;
+    auto mix = [&digest](u64 value) {
+        digest = (digest ^ value) * 0x100000001b3ull;
+    };
+    u64 seq = seqBase;
+    double now = timeBase;
+    auto pop = [&] {
+        expired->clear();
+        Handle popped;
+        bool got = queue.pop(now, &popped, expired);
+        for (const Handle &ticket : *expired)
+            mix(ticket.seq - seqBase);
+        mix(got ? popped.seq - seqBase : 0);
+        tally->expired += static_cast<s64>(expired->size());
+        tally->pops += got;
+        return got;
+    };
+    for (const QueueOp &op : ops) {
+        now = timeBase + op.now;
+        if (op.admit) {
+            ServeQueue::Admission admission =
+                queue.admit(++seq, op.priority, op.priority == 1,
+                            now + deadlineSeconds);
+            mix(static_cast<u64>(admission.kind));
+            if (admission.kind == Kind::kShedVictim)
+                mix(admission.victim.seq - seqBase);
+            tally->shedSelf += admission.kind == Kind::kShedSelf;
+            tally->victims += admission.kind == Kind::kShedVictim;
+        } else {
+            pop();
+        }
+    }
+    while (pop()) {
+    }
+    return digest;
+}
+
+TEST(ServeQueue, SecondPassAllocatesNothing)
+{
+    // sim_fleet's shape: plain priority-0 tickets and priority-1
+    // tickets with a constant relative deadline, maxQueue 64, and
+    // phases that fill the queue (shedding, evicting, expiring) and
+    // drain it. Times sit on a 1/1024 s grid, so shifting a pass by a
+    // whole number of seconds changes no comparison.
+    constexpr s64 kOps = 100000;
+    constexpr double kDeadline = 40.0 / 1024.0;
+    std::mt19937_64 rng(2027);
+    std::vector<QueueOp> ops;
+    double now = 0.0;
+    for (s64 op = 0; op < kOps; ++op) {
+        now += static_cast<double>(rng() % 4) / 1024.0;
+        const u64 admitPercent = (op / 2000) % 2 == 0 ? 85 : 30;
+        QueueOp next;
+        next.admit = rng() % 100 < admitPercent;
+        next.priority = rng() % 10 < 4 ? 1 : 0;
+        next.now = now;
+        ops.push_back(next);
+    }
+
+    ServeQueue queue(64);
+    std::vector<Handle> expired;
+    QueueStreamTally first, second;
+    const long long before = gNewCalls.load();
+    u64 firstDigest =
+        replay(queue, ops, 0, 0.0, kDeadline, &expired, &first);
+    const long long firstNews = gNewCalls.load() - before;
+    ASSERT_TRUE(queue.empty());
+    u64 secondDigest = replay(queue, ops, static_cast<u64>(kOps),
+                              std::ceil(now) + 1.0, kDeadline, &expired,
+                              &second);
+    const long long secondNews = gNewCalls.load() - before - firstNews;
+
+    EXPECT_GT(firstNews, 0) << "the counter must see the queue grow";
+    EXPECT_EQ(secondNews, 0) << "a warm queue allocated";
+    EXPECT_EQ(secondDigest, firstDigest) << "the passes decided differently";
+    EXPECT_GT(first.shedSelf, 0);
+    EXPECT_GT(first.victims, 0);
+    EXPECT_GT(first.expired, 0);
+    EXPECT_GT(first.pops, 0);
 }
 
 TEST(ServeQueueDeath, SeqsMustBePositiveAndStrictlyIncreasing)

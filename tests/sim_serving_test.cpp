@@ -7,15 +7,13 @@
  * counts, dual-mode occupancy (resident plans skip reconfiguration),
  * an analytic M/D/1 mean-wait cross-check with a saturation
  * counterpart, KV-bucket plan routing, one report pinned to a
- * committed digest, and the event calendar's and waiting table's own
- * contracts.
+ * committed digest, and the event calendar's own contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,7 +22,6 @@
 #include "service/serve/serve_protocol.hpp"
 #include "sim/serving/event_queue.hpp"
 #include "sim/serving/scenario.hpp"
-#include "sim/serving/seq_table.hpp"
 #include "sim/serving/service_time.hpp"
 #include "sim/serving/simulator.hpp"
 #include "sim/timing.hpp"
@@ -722,58 +719,6 @@ TEST(EventCalendarDeath, SecondPendingArrivalIsFatal)
     calendar.push(arrivalAt(1.0));
     calendar.push(completionAt(0.5, 0));
     EXPECT_DEATH(calendar.push(arrivalAt(2.0)), "one pending arrival");
-}
-
-/**
- * The waiting table against std::map under the simulator's pattern:
- * increasing seqs in, any live seq out. Its entries stay within
- * 2·live + kSlack after every operation, and once a warm-up has grown
- * it to the stream's peak its vector never reallocates.
- */
-TEST(SeqTable, MatchesAMapAndStaysBounded)
-{
-    constexpr std::size_t kMaxLive = 64;
-    Rng rng(77);
-    SeqTable<s64> table;
-    std::map<u64, s64> model;
-    u64 nextSeq = 1;
-    std::size_t warmCapacity = 0;
-    for (int op = 0; op < 400000; ++op) {
-        if (op == 100000)
-            warmCapacity = table.capacity();
-        bool insert = model.empty()
-                      || (model.size() < kMaxLive && rng.nextInt(0, 1) == 0);
-        if (insert) {
-            u64 seq = nextSeq;
-            nextSeq += static_cast<u64>(rng.nextInt(1, 3)); // gaps: shed
-            s64 value = rng.nextInt(-1000, 1000);
-            table.insert(seq, value);
-            model.emplace(seq, value);
-        } else {
-            // Mostly the oldest (FIFO dispatch), sometimes any live seq
-            // (priority dispatch, eviction, deadline expiry).
-            auto it = model.begin();
-            if (rng.nextInt(0, 3) == 0)
-                std::advance(it, rng.nextInt(0, static_cast<s64>(
-                                                    model.size() - 1)));
-            ASSERT_EQ(table.take(it->first), it->second);
-            model.erase(it);
-        }
-        ASSERT_EQ(table.size(), model.size());
-        ASSERT_LE(table.slots(), 2 * table.size() + SeqTable<s64>::kSlack);
-    }
-    EXPECT_GT(warmCapacity, 0u);
-    EXPECT_EQ(table.capacity(), warmCapacity);
-}
-
-TEST(SeqTableDeath, SeqsMustIncreaseAndTakesMustBeLive)
-{
-    SeqTable<int> table;
-    table.insert(5, 1);
-    EXPECT_DEATH(table.insert(5, 2), "after");
-    EXPECT_DEATH(table.take(4), "not in the table");
-    EXPECT_EQ(table.take(5), 1);
-    EXPECT_DEATH(table.take(5), "not in the table");
 }
 
 } // namespace
