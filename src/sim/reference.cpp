@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
+#include "support/hash.hpp"
 #include "support/logging.hpp"
 #include "support/random.hpp"
 
@@ -64,8 +64,9 @@ seedTensors(const Graph &graph, u64 seed)
         const TensorDesc &desc = graph.tensor(t);
         if (graph.producerOf(t).has_value())
             continue; // produced during execution
-        u64 name_hash = std::hash<std::string>{}(desc.name);
-        Rng rng(seed ^ name_hash);
+        // FNV-1a, not std::hash: every standard library must seed the
+        // same inputs.
+        Rng rng(seed ^ fnv1a64(desc.name));
         std::vector<s32> data(
             static_cast<std::size_t>(desc.shape.numElements()));
         bool is_ids = desc.dtype == DType::kInt32;
