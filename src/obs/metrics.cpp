@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "support/json.hpp"
 #include "support/logging.hpp"
@@ -392,31 +393,6 @@ histName(Hist h)
     cmswitch_panic("histName: bad histogram id ", static_cast<u32>(h));
 }
 
-Counter &
-MetricsRegistry::counter(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    auto it = dynamicCounters_.find(name);
-    if (it == dynamicCounters_.end())
-        it = dynamicCounters_
-                 .emplace(std::string(name), std::make_unique<Counter>())
-                 .first;
-    return *it->second;
-}
-
-LogHistogram &
-MetricsRegistry::histogram(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    auto it = dynamicHistograms_.find(name);
-    if (it == dynamicHistograms_.end())
-        it = dynamicHistograms_
-                 .emplace(std::string(name),
-                          std::make_unique<LogHistogram>())
-                 .first;
-    return *it->second;
-}
-
 void
 MetricsRegistry::reset()
 {
@@ -426,33 +402,20 @@ MetricsRegistry::reset()
         g.reset();
     for (auto &h : histograms_)
         h.reset();
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    for (auto &[name, c] : dynamicCounters_)
-        c->reset();
-    for (auto &[name, h] : dynamicHistograms_)
-        h->reset();
 }
 
 void
 MetricsRegistry::writeJson(JsonWriter &w) const
 {
-    // Built-in name tables are already sorted (the enums are declared
-    // in name order), but merging through std::map keeps the sorted-key
-    // guarantee independent of enum declaration order and interleaves
-    // dynamic instruments correctly.
+    // The name tables are already sorted (the enums are declared in
+    // name order), but merging through std::map keeps the sorted-key
+    // guarantee independent of enum declaration order.
     std::map<std::string, s64, std::less<>> counters;
     for (u32 i = 0; i < static_cast<u32>(Met::kCount); ++i)
         counters[metName(static_cast<Met>(i))] = counters_[i].get();
     std::map<std::string, const LogHistogram *, std::less<>> histograms;
     for (u32 i = 0; i < static_cast<u32>(Hist::kCount); ++i)
         histograms[histName(static_cast<Hist>(i))] = &histograms_[i];
-    {
-        std::lock_guard<std::mutex> lock(dynamicMutex_);
-        for (const auto &[name, c] : dynamicCounters_)
-            counters[name] = c->get();
-        for (const auto &[name, h] : dynamicHistograms_)
-            histograms[name] = h.get();
-    }
 
     w.beginObject();
     w.key("counters").beginObject();

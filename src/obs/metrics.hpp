@@ -18,10 +18,8 @@
  * as plain relaxed loads and stores, so the same bits at a fraction of
  * the cost.
  *
- * Hot instruments are enum-indexed (Met/Gau/Hist) into fixed arrays: no
- * name hashing or locking on the compile hot path. String-named
- * instruments exist too (mutex-guarded map) for tests and for callers
- * outside the built-in set.
+ * Every instrument is enum-indexed (Met/Gau/Hist) into a fixed array:
+ * no name hashing or locking on the compile hot path.
  *
  * Snapshots (`writeJson`) emit keys in sorted order, so two snapshots
  * of equally-counted registries are byte-identical; only histogram
@@ -33,11 +31,7 @@
 
 #include <array>
 #include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 
 #include "support/common.hpp"
 
@@ -243,10 +237,8 @@ const char *gauName(Gau g);
 const char *histName(Hist h);
 
 /**
- * The registry: owns every instrument for one observation session.
- * Built-ins live in fixed arrays; string-named extras are created on
- * first use under a mutex and live until the registry dies (returned
- * references stay valid).
+ * The registry: owns every instrument for one observation session, in
+ * fixed arrays.
  */
 class MetricsRegistry
 {
@@ -259,12 +251,7 @@ class MetricsRegistry
     Gauge &gauge(Gau g) { return gauges_[static_cast<u32>(g)]; }
     LogHistogram &histogram(Hist h) { return histograms_[static_cast<u32>(h)]; }
 
-    /** @{ Dynamic string-named instruments (mutex on first use). */
-    Counter &counter(std::string_view name);
-    LogHistogram &histogram(std::string_view name);
-    /** @} */
-
-    /** Zero every instrument (built-in and dynamic). */
+    /** Zero every instrument. */
     void reset();
 
     /**
@@ -282,10 +269,6 @@ class MetricsRegistry
     std::array<Counter, static_cast<u32>(Met::kCount)> counters_;
     std::array<Gauge, static_cast<u32>(Gau::kCount)> gauges_;
     std::array<LogHistogram, static_cast<u32>(Hist::kCount)> histograms_;
-
-    mutable std::mutex dynamicMutex_;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>> dynamicCounters_;
-    std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>> dynamicHistograms_;
 };
 
 } // namespace obs

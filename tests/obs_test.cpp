@@ -418,47 +418,39 @@ TEST(MetricsRegistry, SnapshotIsDeterministicForEqualWorkloads)
         registry.gauge(Gau::kServiceThreads).set(4);
         registry.histogram(Hist::kPhaseSegment).record(0.125);
         registry.histogram(Hist::kPhaseSegment).record(0.25);
-        registry.counter("custom.alpha").add(1);
-        registry.counter("custom.zeta").add(2);
-        registry.histogram("custom.latency").record(1.0);
+        registry.histogram(Hist::kPhaseCompile).record(1.0);
     };
     MetricsRegistry a, b;
     populate(a);
     populate(b);
     // Identical workloads (same recorded values, not just counts) ->
-    // byte-identical snapshots, dynamic instruments in sorted order.
+    // byte-identical snapshots, keys in sorted order.
     std::string ja = a.snapshotJson();
     EXPECT_EQ(ja, b.snapshotJson());
     EXPECT_NE(ja.find("\"counters\""), std::string::npos);
     EXPECT_NE(ja.find("\"gauges\""), std::string::npos);
     EXPECT_NE(ja.find("\"quantiles\""), std::string::npos);
-    EXPECT_NE(ja.find("custom.alpha"), std::string::npos);
-    EXPECT_LT(ja.find("custom.alpha"), ja.find("custom.zeta"));
+    EXPECT_NE(ja.find("\"dp.boundaries\": 123"), std::string::npos);
+    EXPECT_LT(ja.find("\"dp.boundaries\""), ja.find("\"mip.solves\""));
+    EXPECT_LT(ja.find("\"phase.compile_seconds\""),
+              ja.find("\"phase.segment_seconds\""));
     for (const char *field : {"\"p50\"", "\"p90\"", "\"p95\"", "\"p99\""})
         EXPECT_NE(ja.find(field), std::string::npos) << field;
 }
 
 TEST(MetricsRegistry, ResetZeroesBuiltinsAndDynamics)
 {
+    // Every instrument is built in now; reset() must zero each kind.
     MetricsRegistry registry;
     registry.counter(Met::kCompiles).add(3);
-    registry.counter("custom.x").add(9);
+    registry.counter(Met::kMipSolves).add(9);
+    registry.gauge(Gau::kServiceThreads).set(4);
     registry.histogram(Hist::kPhaseCompile).record(1.0);
     registry.reset();
     EXPECT_EQ(registry.counter(Met::kCompiles).get(), 0);
-    EXPECT_EQ(registry.counter("custom.x").get(), 0);
+    EXPECT_EQ(registry.counter(Met::kMipSolves).get(), 0);
+    EXPECT_EQ(registry.gauge(Gau::kServiceThreads).get(), 0);
     EXPECT_EQ(registry.histogram(Hist::kPhaseCompile).count(), 0);
-}
-
-TEST(MetricsRegistry, DynamicInstrumentReferencesAreStable)
-{
-    MetricsRegistry registry;
-    Counter &c = registry.counter("stable.counter");
-    c.add(1);
-    for (int i = 0; i < 100; ++i)
-        registry.counter("churn." + std::to_string(i)).add(1);
-    EXPECT_EQ(&c, &registry.counter("stable.counter"));
-    EXPECT_EQ(c.get(), 1);
 }
 
 TEST(ObsControlPlane, DisabledByDefaultAndHelpersAreNoOps)
